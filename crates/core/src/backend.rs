@@ -5,14 +5,15 @@ use std::collections::BTreeMap;
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::KeyValueStore;
 use fluidmem_mem::{
-    AccessCounters, AccessOutcome, AccessReport, CapacityError, MemoryBackend, PageClass,
-    PageContents, PageTable, PhysicalMemory, PteFlags, Region, VirtAddr, Vpn,
+    AccessCounters, AccessReport, CapacityError, MemoryBackend, PageClass, PageContents, Region,
+    VirtAddr, Vpn,
 };
-use fluidmem_sim::{SimClock, SimDuration, SimRng};
-use fluidmem_uffd::{RegionId, Userfaultfd};
+use fluidmem_sim::{SimClock, SimRng};
+use fluidmem_uffd::RegionId;
 
 use crate::config::MonitorConfig;
-use crate::monitor::{CompletedFault, Monitor, Resolution, SubmitOutcome};
+use crate::front_end::FrontEnd;
+use crate::monitor::{CompletedFault, Monitor, SubmitOutcome};
 
 /// The outcome of [`FluidMemMemory::submit_access`].
 #[derive(Debug, Clone, Copy)]
@@ -76,16 +77,11 @@ pub struct MigrationImage {
 /// assert!(vm.resident_pages() <= 64, "the LRU bound holds");
 /// ```
 pub struct FluidMemMemory {
-    uffd: Userfaultfd,
-    pt: PageTable,
-    pm: PhysicalMemory,
-    monitor: Monitor,
+    fe: FrontEnd,
     regions: BTreeMap<u64, (RegionId, Region)>,
     next_vpn: u64,
     pid: u64,
-    from_vm: bool,
     counters: AccessCounters,
-    clock: SimClock,
     label: String,
 }
 
@@ -100,35 +96,25 @@ impl FluidMemMemory {
         rng: SimRng,
     ) -> Self {
         let label = format!("FluidMem/{}", store.name());
-        let from_vm = config.from_vm;
-        let uffd = Userfaultfd::new(clock.clone(), rng.fork("uffd"));
-        let monitor = Monitor::new(config, store, partition, clock.clone(), rng.fork("monitor"));
         FluidMemMemory {
-            uffd,
-            pt: PageTable::new(),
-            // Host frames are bounded by the monitor's LRU, not by this
-            // allocator; size it generously.
-            pm: PhysicalMemory::new(u64::MAX / 2),
-            monitor,
+            fe: FrontEnd::new(config, store, partition, clock, rng),
             regions: BTreeMap::new(),
             next_vpn: 0x10_000,
             pid: 4242,
-            from_vm,
             counters: AccessCounters::default(),
-            clock,
             label,
         }
     }
 
     /// The monitor (for stats, profile, and resize access).
     pub fn monitor(&self) -> &Monitor {
-        &self.monitor
+        &self.fe.monitor
     }
 
     /// Attaches a shared telemetry handle (see
     /// [`Monitor::attach_telemetry`]).
     pub fn attach_telemetry(&mut self, telemetry: &fluidmem_telemetry::Telemetry) {
-        self.monitor.attach_telemetry(telemetry);
+        self.fe.monitor.attach_telemetry(telemetry);
     }
 
     /// Attaches a shared telemetry handle with every monitor instrument
@@ -139,31 +125,31 @@ impl FluidMemMemory {
         telemetry: &fluidmem_telemetry::Telemetry,
         vm: &str,
     ) {
-        self.monitor.attach_telemetry_labeled(telemetry, vm);
+        self.fe.monitor.attach_telemetry_labeled(telemetry, vm);
     }
 
     /// The arbiter-facing snapshot of this VM's memory behavior: access
     /// and fault counters plus residency/capacity/write-back gauges.
     pub fn signals(&self) -> crate::VmSignals {
         let access = self.counters();
-        let stats = self.monitor.stats();
+        let stats = self.fe.monitor.stats();
         crate::VmSignals {
             accesses: access.total(),
             hits: access.hits,
             minor_faults: access.minor_faults,
             major_faults: access.major_faults,
             remote_reads: stats.remote_reads,
-            resident_pages: self.monitor.resident_pages(),
-            capacity_pages: self.monitor.capacity(),
-            pending_writes: self.monitor.pending_writes() as u64,
+            resident_pages: self.fe.monitor.resident_pages(),
+            capacity_pages: self.fe.monitor.capacity(),
+            pending_writes: self.fe.monitor.pending_writes() as u64,
             refaults_measured: stats.refaults_measured,
             thrash_refaults: stats.thrash_refaults,
-            wss_estimate_pages: self.monitor.wss_estimate_pages(),
+            wss_estimate_pages: self.fe.monitor.wss_estimate_pages(),
             background_reclaims: stats.background_reclaims,
             direct_reclaims: stats.direct_reclaims,
             tier_hits: stats.tier_hits,
             tier_demotions: stats.tier_demotions,
-            tier_pool_bytes: self.monitor.tier_bytes() as u64,
+            tier_pool_bytes: self.fe.monitor.tier_bytes() as u64,
             prefetch_issued: stats.prefetch_issued,
             prefetch_hits: stats.prefetch_hits,
         }
@@ -172,12 +158,12 @@ impl FluidMemMemory {
     /// Retargets the compressed tier's byte budget (the host arbiter's
     /// per-VM pool quota); a shrink demotes overflow to the store.
     pub fn set_tier_budget(&mut self, max_bytes: usize) {
-        self.monitor.set_tier_budget(max_bytes);
+        self.fe.monitor.set_tier_budget(max_bytes);
     }
 
     /// Mutable monitor access (profile clearing, drains).
     pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
+        &mut self.fe.monitor
     }
 
     /// Adds memory to the running VM via hotplug (the left-hand VM of
@@ -191,37 +177,26 @@ impl FluidMemMemory {
     /// VM's pages in the store.
     pub fn unregister_region(&mut self, region: &Region) {
         if let Some((id, _)) = self.regions.remove(&region.start().raw()) {
-            self.uffd.unregister(id).expect("region was registered");
-            // Consume the unregister event as the monitor would.
-            while self.uffd.poll().is_some() {}
-            self.monitor.remove_region(region);
-            for vpn in region.iter_pages() {
-                if let Some(entry) = self.pt.unmap(vpn) {
-                    if !entry.flags.contains(PteFlags::ZERO_PAGE) {
-                        self.pm.free(entry.frame);
-                    }
-                }
-            }
+            self.fe.unregister(id, region);
         }
     }
 
     /// Flushes all outstanding writes (shutdown / test hygiene).
     pub fn drain_writes(&mut self) {
-        self.monitor.drain_writes();
+        self.fe.monitor.drain_writes();
     }
 
     /// Migrates the VM out: evicts every page to the (shared) store,
     /// drains the write list, and returns the image the destination
     /// needs. Consumes the source — the VM no longer runs here.
     pub fn migrate_out(mut self) -> MigrationImage {
-        let capacity = self.monitor.capacity();
-        self.monitor
-            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, 0);
-        self.monitor.drain_writes();
+        let capacity = self.fe.monitor.capacity();
+        self.fe.resize(0);
+        self.fe.monitor.drain_writes();
         MigrationImage {
             regions: self.regions.values().map(|(_, r)| *r).collect(),
-            seen: self.monitor.export_seen(),
-            partition: self.monitor.partition(),
+            seen: self.fe.monitor.export_seen(),
+            partition: self.fe.monitor.partition(),
             capacity,
         }
     }
@@ -241,83 +216,21 @@ impl FluidMemMemory {
         let mut vm = FluidMemMemory::new(config, store, image.partition, clock, rng);
         for region in &image.regions {
             let id = vm
+                .fe
                 .uffd
                 .register(*region)
                 .expect("migrated regions do not overlap");
             vm.regions.insert(region.start().raw(), (id, *region));
             vm.next_vpn = vm.next_vpn.max(region.end().raw() + 16);
         }
-        vm.monitor.import_seen(image.seen);
+        vm.fe.monitor.import_seen(image.seen);
         vm
     }
 
-    /// Resolves an access to an already-mapped page (hit or CoW break);
-    /// `None` means the page is unmapped and must fault to the monitor.
-    fn try_mapped_access(&mut self, vpn: Vpn, write: bool) -> Option<AccessReport> {
-        let entry = self.pt.get_mut(vpn)?;
-        if write && entry.flags.contains(PteFlags::ZERO_PAGE) {
-            // Kernel-side copy-on-write break (footnote 1 of the
-            // paper): a regular minor fault, invisible to the
-            // monitor.
-            let t0 = self.clock.now();
-            self.uffd
-                .break_cow(&mut self.pt, &mut self.pm, vpn)
-                .expect("zero-page mapping breaks cleanly");
-            self.counters.record(AccessOutcome::MinorFault);
-            return Some(AccessReport {
-                outcome: AccessOutcome::MinorFault,
-                latency: self.clock.now() - t0,
-            });
-        }
-        entry.flags.insert(PteFlags::REFERENCED);
-        if write {
-            entry.flags.insert(PteFlags::DIRTY);
-        }
-        // First guest touch of a prefetched page resolves its
-        // accuracy-ledger entry to a hit (a no-op branch when nothing
-        // is pending).
-        self.monitor.note_mapped_touch(vpn);
-        self.counters.record(AccessOutcome::Hit);
-        Some(AccessReport {
-            outcome: AccessOutcome::Hit,
-            latency: SimDuration::ZERO,
-        })
-    }
-
     fn do_access(&mut self, addr: VirtAddr, write: bool) -> AccessReport {
-        let vpn = addr.vpn();
-        if let Some(report) = self.try_mapped_access(vpn, write) {
-            return report;
-        }
-
-        let t0 = self.clock.now();
-        self.uffd
-            .raise_fault(addr, write, self.pid, self.from_vm)
-            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
-        let _event = self.uffd.poll().expect("fault was queued");
-        let res = self
-            .monitor
-            .handle_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write);
-        let mut latency = res.wake_at - t0;
-
-        // A *write* that was resolved with the zero page immediately
-        // breaks CoW when the guest retries the instruction.
-        if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-            let before = self.clock.now();
-            self.uffd
-                .break_cow(&mut self.pt, &mut self.pm, vpn)
-                .expect("zero-page mapping breaks cleanly");
-            latency += self.clock.now() - before;
-        }
-
-        let outcome = match res.resolution {
-            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
-                AccessOutcome::MinorFault
-            }
-            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-        };
-        self.counters.record(outcome);
-        AccessReport { outcome, latency }
+        let report = self.fe.access(self.pid, addr, write);
+        self.counters.record(report.outcome);
+        report
     }
 
     /// Submits one guest access from `vcpu_pid` to the monitor's staged
@@ -332,43 +245,11 @@ impl FluidMemMemory {
     /// [`MonitorConfig::max_inflight`] by completing between submits
     /// (see [`Monitor::submit_fault`]).
     pub fn submit_access(&mut self, vcpu_pid: u64, addr: VirtAddr, write: bool) -> PipelineSubmit {
-        let vpn = addr.vpn();
-        if let Some(report) = self.try_mapped_access(vpn, write) {
-            return PipelineSubmit::Ready(report);
+        let submitted = self.fe.submit(vcpu_pid, addr, write);
+        if let PipelineSubmit::Ready(report) = submitted {
+            self.counters.record(report.outcome);
         }
-
-        let t0 = self.clock.now();
-        self.uffd
-            .raise_fault(addr, write, vcpu_pid, self.from_vm)
-            .unwrap_or_else(|e| panic!("access to unregistered address {addr}: {e}"));
-        let _event = self.uffd.poll().expect("fault was queued");
-        match self
-            .monitor
-            .submit_fault(&mut self.uffd, &mut self.pt, &mut self.pm, vpn, write)
-        {
-            SubmitOutcome::Completed(res) => {
-                let mut latency = res.wake_at - t0;
-                // A write resolved with the zero page breaks CoW when the
-                // guest retries the instruction — same as the call-return
-                // path.
-                if write && self.pt.has_flags(vpn, PteFlags::ZERO_PAGE) {
-                    let before = self.clock.now();
-                    self.uffd
-                        .break_cow(&mut self.pt, &mut self.pm, vpn)
-                        .expect("zero-page mapping breaks cleanly");
-                    latency += self.clock.now() - before;
-                }
-                let outcome = match res.resolution {
-                    Resolution::ZeroFill
-                    | Resolution::WriteListSteal
-                    | Resolution::CompressedHit => AccessOutcome::MinorFault,
-                    Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-                };
-                self.counters.record(outcome);
-                PipelineSubmit::Ready(AccessReport { outcome, latency })
-            }
-            parked => PipelineSubmit::Pending(parked),
-        }
+        submitted
     }
 
     /// Finishes the earliest in-flight pipelined access: resolves the
@@ -376,24 +257,19 @@ impl FluidMemMemory {
     /// per fault sharing the operation (the submitter plus any coalesced
     /// waiters). Returns `None` when nothing is in flight.
     pub fn complete_next_access(&mut self) -> Option<CompletedFault> {
-        let done = self
+        let fe = &mut self.fe;
+        let done = fe
             .monitor
-            .complete_next(&mut self.uffd, &mut self.pt, &mut self.pm)?;
-        let outcome = match done.resolution {
-            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
-                AccessOutcome::MinorFault
-            }
-            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
-        };
+            .complete_next(&mut fe.uffd, &mut fe.pt, &mut fe.pm)?;
         for _ in 0..=done.waiters {
-            self.counters.record(outcome);
+            self.counters.record(done.resolution.outcome());
         }
         Some(done)
     }
 
     /// Faults currently parked in the monitor's in-flight table.
     pub fn inflight_len(&self) -> usize {
-        self.monitor.inflight_len()
+        self.fe.monitor.inflight_len()
     }
 
     /// Installs any speculative reads (and runs any reclaim work) whose
@@ -402,8 +278,8 @@ impl FluidMemMemory {
     /// guest accesses to model the monitor thread running bottom halves
     /// while the vCPUs compute; never advances the clock.
     pub fn poll_ready_completions(&mut self) {
-        self.monitor
-            .poll_ready(&mut self.uffd, &mut self.pt, &mut self.pm);
+        let fe = &mut self.fe;
+        fe.monitor.poll_ready(&mut fe.uffd, &mut fe.pt, &mut fe.pm);
     }
 }
 
@@ -412,6 +288,7 @@ impl MemoryBackend for FluidMemMemory {
         let region = Region::new(Vpn::new(self.next_vpn), pages, class);
         self.next_vpn += pages + 16;
         let id = self
+            .fe
             .uffd
             .register(region)
             .expect("bump allocation never overlaps");
@@ -425,30 +302,27 @@ impl MemoryBackend for FluidMemMemory {
 
     fn write_page(&mut self, addr: VirtAddr, contents: PageContents) -> AccessReport {
         let report = self.do_access(addr, true);
-        let entry = self.pt.get(addr.vpn()).expect("write access maps the page");
-        self.pm.store(entry.frame, contents);
+        self.fe.store_page(addr.vpn(), contents);
         report
     }
 
     fn read_page(&mut self, addr: VirtAddr) -> (PageContents, AccessReport) {
         let report = self.do_access(addr, false);
-        let entry = self.pt.get(addr.vpn()).expect("read access maps the page");
-        (self.pm.load(entry.frame).clone(), report)
+        (self.fe.load_page(addr.vpn()), report)
     }
 
     fn resident_pages(&self) -> u64 {
-        self.monitor.resident_pages()
+        self.fe.monitor.resident_pages()
     }
 
     fn local_capacity_pages(&self) -> u64 {
-        self.monitor.capacity()
+        self.fe.monitor.capacity()
     }
 
     fn set_local_capacity(&mut self, pages: u64) -> Result<(), CapacityError> {
         // FluidMem's defining capability (§III, §VI-E): the operator
         // resizes the buffer with no guest involvement.
-        self.monitor
-            .resize(&mut self.uffd, &mut self.pt, &mut self.pm, pages);
+        self.fe.resize(pages);
         Ok(())
     }
 
@@ -463,7 +337,7 @@ impl MemoryBackend for FluidMemMemory {
     }
 
     fn clock(&self) -> &SimClock {
-        &self.clock
+        &self.fe.clock
     }
 
     fn label(&self) -> String {
@@ -485,6 +359,7 @@ impl std::fmt::Debug for FluidMemMemory {
 mod tests {
     use super::*;
     use fluidmem_kv::{DramStore, RamCloudStore};
+    use fluidmem_mem::AccessOutcome;
 
     fn backend(capacity: u64) -> FluidMemMemory {
         let clock = SimClock::new();

@@ -317,15 +317,16 @@ pub struct MonitorConfig {
     /// refusals) are retried. Backoff waits are charged to the virtual
     /// clock, so retried faults honestly extend the observed latency.
     pub retry: RetryPolicy,
-    /// How many faults the monitor's pipelined entry points
+    /// How many faults the monitor's pipelined driver
     /// ([`Monitor::submit_fault`](crate::Monitor::submit_fault) /
     /// [`Monitor::complete_next`](crate::Monitor::complete_next)) may
-    /// hold in flight at once. `1` (the default) degenerates to the
-    /// call-return path: each fault completes before the next is
-    /// admitted, byte-identical to
-    /// [`Monitor::handle_fault`](crate::Monitor::handle_fault). Larger
-    /// values model FluidMem's multi-threaded monitor, where several
-    /// store round trips and the evictor overlap.
+    /// hold parked between the fault path's start and finish stages.
+    /// At `1` (the default) each fault completes before the next is
+    /// admitted, so it runs exactly what the call-return driver
+    /// [`Monitor::handle_fault`](crate::Monitor::handle_fault) runs
+    /// inline. Larger values model FluidMem's multi-threaded monitor,
+    /// where several store round trips and the evictor overlap; they
+    /// also let prefetch park its speculative reads, on either driver.
     pub max_inflight: usize,
     /// Shadow-entry working-set estimation: how many nonresident entries
     /// to retain and whether the estimate drives the LRU capacity

@@ -45,6 +45,7 @@
 
 mod backend;
 mod config;
+mod front_end;
 mod hypervisor;
 mod lru_buffer;
 mod monitor;

@@ -5,21 +5,19 @@
 //! and the §V-B asynchronous read whose store round trip overlaps
 //! `UFFD_REMAP`/bookkeeping):
 //!
-//! * `stages` — fault intake, first-touch and refault resolution, the
-//!   split top/bottom-half read, and prefetch.
+//! * `stages` — the one fault path, split in two: a start stage
+//!   (intake, coalescing, first touch, write-list steal, tier promote,
+//!   prefetch adoption, the read issue) and a finish stage (the write
+//!   wait or read bottom half, placement, wakes, post-wake work).
 //! * `evict` — the evictor: `UFFD_REMAP` eviction, write-list flushes,
 //!   and the shutdown drain.
-//! * `pipeline` — the staged entry points
-//!   ([`Monitor::submit_fault`] / [`Monitor::complete_next`]) that hold
-//!   up to [`MonitorConfig::max_inflight`] faults in flight on a
-//!   deterministic [`EventQueue`](fluidmem_sim::EventQueue).
+//! * `pipeline` — the in-flight table and the pipelined driver
+//!   ([`Monitor::submit_fault`] / [`Monitor::complete_next`]) that parks
+//!   up to [`MonitorConfig::max_inflight`] faults between the two stages
+//!   on a deterministic [`EventQueue`](fluidmem_sim::EventQueue).
 //!
-//! [`Monitor::handle_fault`] remains the call-return path: intake,
-//! resolution, and wake in one call, with at most one store operation
-//! outstanding. It is byte-identical to a pipelined run at
-//! `max_inflight = 1` because both are built from the same stage
-//! functions, invoked in the same order.
-
+//! [`Monitor::handle_fault`] is the call-return driver of the same two
+//! stages: it runs the finish stage inline instead of parking.
 mod evict;
 mod pipeline;
 mod reclaim;
@@ -31,7 +29,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore, PendingGet};
-use fluidmem_mem::{PageTable, PhysicalMemory, Region, Vpn};
+use fluidmem_mem::{AccessOutcome, PageTable, PhysicalMemory, Region, Vpn};
 use fluidmem_sim::{SimClock, SimInstant, SimRng, Tracer};
 use fluidmem_uffd::Userfaultfd;
 
@@ -47,6 +45,7 @@ use crate::write_list::WriteList;
 use fluidmem_telemetry::{consts, Gauge, Histogram, SpanId, Telemetry};
 
 use pipeline::InflightTable;
+use stages::FaultStart;
 
 /// How a fault was resolved by the monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,6 +94,17 @@ impl Resolution {
             Resolution::CompressedHit => 4,
         }
     }
+
+    /// The guest-visible outcome: a major fault when the guest waited on
+    /// a store round trip or an in-flight write, a minor fault otherwise.
+    pub(crate) fn outcome(self) -> AccessOutcome {
+        match self {
+            Resolution::ZeroFill | Resolution::WriteListSteal | Resolution::CompressedHit => {
+                AccessOutcome::MinorFault
+            }
+            Resolution::RemoteRead | Resolution::InflightWait => AccessOutcome::MajorFault,
+        }
+    }
 }
 
 /// The outcome of [`Monitor::handle_fault`].
@@ -108,9 +118,13 @@ pub struct FaultResolution {
     pub wake_at: SimInstant,
 }
 
-/// The result of the fault-intake stage: the admission timestamp, the
-/// open fault span, and whether the page has been seen before.
+/// The result of the fault-intake stage: the faulting page and access,
+/// the admission timestamp, the open fault span, and whether the page
+/// has been seen before. A fault coalesced onto another's operation
+/// keeps its intake as a waiter.
 pub(in crate::monitor) struct FaultIntake {
+    pub(in crate::monitor) vpn: Vpn,
+    pub(in crate::monitor) write: bool,
     pub(in crate::monitor) t0: SimInstant,
     pub(in crate::monitor) span: SpanId,
     pub(in crate::monitor) seen: bool,
@@ -739,16 +753,17 @@ impl Monitor {
         }
     }
 
-    /// Handles one page fault for `vpn` on the call-return path: intake,
-    /// resolution, and wake complete before the call returns, with at
-    /// most one store operation in flight. The caller (the backend) has
-    /// already charged fault-trap and event-delivery costs via the
-    /// userfaultfd object.
+    /// Handles one page fault for `vpn` on the call-return path: the
+    /// caller (the backend) has already charged fault-trap and
+    /// event-delivery costs via the userfaultfd object, and the guest is
+    /// woken before the call returns.
     ///
-    /// This is the `max_inflight = 1` degenerate case of the staged
-    /// pipeline: it runs the same stage functions as
-    /// [`Monitor::submit_fault`] / [`Monitor::complete_next`], in the
-    /// same order.
+    /// This drives the same start and finish stages as
+    /// [`Monitor::submit_fault`] / [`Monitor::complete_next`], but runs
+    /// the finish stage inline instead of parking the fault. Only a
+    /// fault on a page whose operation the pipelined driver already
+    /// parked waits on the completion queue, until that operation is
+    /// done.
     pub fn handle_fault(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -757,16 +772,21 @@ impl Monitor {
         vpn: Vpn,
         write: bool,
     ) -> FaultResolution {
-        let intake = self.fault_intake(pt, vpn, write);
-        let res = if !intake.seen {
-            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
-            self.handle_first_touch(uffd, pt, pm, vpn)
-        } else {
-            self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
-            self.handle_refault(uffd, pt, pm, vpn, write)
-        };
-        self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-        res
+        match self.start_fault(uffd, pt, pm, vpn, write) {
+            FaultStart::Done(res) => res,
+            FaultStart::Wait(intake, stage) => self.finish_fault(uffd, pt, pm, &intake, stage, &[]),
+            FaultStart::Coalesced(id) => loop {
+                let done = self
+                    .complete_next(uffd, pt, pm)
+                    .expect("the coalesced operation is in flight");
+                if done.id == id {
+                    break FaultResolution {
+                        resolution: done.resolution,
+                        wake_at: done.wake_at,
+                    };
+                }
+            },
+        }
     }
 
     /// Resizes the local buffer (the §VI-E capability swap lacks),

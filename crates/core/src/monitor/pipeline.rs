@@ -1,46 +1,30 @@
-//! The staged fault pipeline: explicit in-flight operations on a
-//! deterministic event queue.
+//! The pipelined driver of the fault path: explicit in-flight
+//! operations on a deterministic event queue.
 //!
-//! The call-return path ([`Monitor::handle_fault`]) holds at most one
-//! store operation outstanding. FluidMem's real monitor is multi-
-//! threaded: several fault handlers block in store reads while the
-//! evictor drains the write list. This module models that overlap
-//! without threads. [`Monitor::submit_fault`] runs a fault's intake and
-//! issue stages and, if the fault needs to wait on the store (or on an
-//! in-flight write), parks it in the [`InflightTable`] keyed by its
-//! completion instant; [`Monitor::complete_next`] pops the earliest
-//! completion off the [`EventQueue`] and runs the placement, wake, and
-//! post-wake stages.
+//! FluidMem's real monitor is multi-threaded: several fault handlers
+//! block in store reads while the evictor drains the write list. This
+//! module models that overlap without threads. [`Monitor::submit_fault`]
+//! runs the fault path's start stage and, if the fault has to wait on
+//! the store (or on an in-flight write), parks the returned stage in the
+//! [`InflightTable`] keyed by its completion instant;
+//! [`Monitor::complete_next`] pops the earliest completion off the
+//! [`EventQueue`] and runs the finish stage. The call-return driver,
+//! [`Monitor::handle_fault`], runs the same finish stage inline.
 //!
 //! Determinism: the queue orders strictly by `(completes_at, seq)`, seq
 //! being submission order, so the schedule is a pure function of the
 //! seed — two runs with the same seed interleave identically. At
 //! `max_inflight = 1` every fault completes before the next is
-//! submitted, which makes the pipelined path byte-identical (same clock
-//! charges, same RNG draws, same telemetry) to `handle_fault`.
+//! submitted, so both drivers run the same stages in the same order
+//! (same clock charges, same RNG draws, same telemetry).
 
 use fluidmem_kv::PendingGet;
-use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, Vpn};
+use fluidmem_mem::{PageTable, PhysicalMemory, Vpn};
 use fluidmem_sim::{EventQueue, SimInstant};
-use fluidmem_telemetry::SpanId;
 use fluidmem_uffd::Userfaultfd;
 
-use super::stages::ReadFlight;
+use super::stages::{FaultStage, FaultStart};
 use super::{FaultIntake, FaultResolution, Monitor, Resolution};
-use crate::write_list::StealOutcome;
-
-/// Where a parked fault is in the pipeline.
-enum FaultStage {
-    /// The §V-B read top half is issued; the bottom half lands at the
-    /// flight's completion instant.
-    Fetch(ReadFlight),
-    /// The page is in an in-flight write; the fault waits until `until`
-    /// and then installs the buffered copy.
-    WaitWrite {
-        until: SimInstant,
-        contents: PageContents,
-    },
-}
 
 /// A speculative (prefetch) read in flight: no guest vCPU waits on it.
 /// Completion installs the page and wakes nothing; a demand fault
@@ -53,25 +37,15 @@ pub(in crate::monitor) struct PrefetchFlight {
     pub(in crate::monitor) pending: PendingGet,
 }
 
-/// A fault that attached to an already-in-flight operation on the same
-/// page (a second vCPU touching the page mid-fetch). It shares the
-/// operation's outcome and wake instant but keeps its own span and
+/// One in-flight fault operation: the submitting fault's intake, the
+/// stage it waits on, and the faults coalesced onto it. A waiter shares
+/// the operation's outcome and wake instant but keeps its own span and
 /// admission time for latency accounting.
-struct Waiter {
-    t0: SimInstant,
-    span: SpanId,
-    write: bool,
-}
-
-/// One in-flight fault operation.
 struct InflightFault {
     id: u64,
-    vpn: Vpn,
-    write: bool,
-    submitted_at: SimInstant,
-    span: SpanId,
+    intake: FaultIntake,
     stage: FaultStage,
-    waiters: Vec<Waiter>,
+    waiters: Vec<FaultIntake>,
 }
 
 /// An entry on the completion queue: a fault operation finishing, or a
@@ -105,7 +79,7 @@ pub(in crate::monitor) struct InflightTable {
     live: usize,
     queue: EventQueue<QueueItem>,
     next_id: u64,
-    waiter_pool: Vec<Vec<Waiter>>,
+    waiter_pool: Vec<Vec<FaultIntake>>,
     /// Speculative reads in flight, in their own recycled slab (entries
     /// are `(id, flight)`; the id guards against slot reuse exactly as
     /// in the demand slab).
@@ -141,22 +115,13 @@ impl InflightTable {
         self.slots.len()
     }
 
-    fn park(
-        &mut self,
-        vpn: Vpn,
-        write: bool,
-        intake: FaultIntake,
-        stage: FaultStage,
-        completes_at: SimInstant,
-    ) -> u64 {
+    fn park(&mut self, intake: FaultIntake, stage: FaultStage) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        let completes_at = stage.completes_at();
         let op = InflightFault {
             id,
-            vpn,
-            write,
-            submitted_at: intake.t0,
-            span: intake.span,
+            intake,
             stage,
             waiters: self.waiter_pool.pop().unwrap_or_default(),
         };
@@ -183,13 +148,24 @@ impl InflightTable {
         self.queue.push(at, QueueItem::Reclaim);
     }
 
-    fn by_vpn_mut(&mut self, vpn: Vpn) -> Option<&mut InflightFault> {
+    /// Attaches a fault as a waiter to the live operation on its page
+    /// and returns that operation's id, or hands the intake back when no
+    /// operation owns the page.
+    pub(in crate::monitor) fn coalesce(&mut self, intake: FaultIntake) -> Result<u64, FaultIntake> {
         // Slot order differs from submission order, but coalescing keeps
         // at most one live operation per page, so the match is unique.
-        self.slots
+        let op = self
+            .slots
             .iter_mut()
             .filter_map(Option::as_mut)
-            .find(|op| op.vpn == vpn)
+            .find(|op| op.intake.vpn == intake.vpn);
+        match op {
+            Some(op) => {
+                op.waiters.push(intake);
+                Ok(op.id)
+            }
+            None => Err(intake),
+        }
     }
 
     fn take(&mut self, id: u64, slot: u32) -> Option<InflightFault> {
@@ -205,7 +181,7 @@ impl InflightTable {
     }
 
     /// Returns a drained waiter buffer to the pool for the next park.
-    fn recycle_waiters(&mut self, mut waiters: Vec<Waiter>) {
+    fn recycle_waiters(&mut self, mut waiters: Vec<FaultIntake>) {
         waiters.clear();
         self.waiter_pool.push(waiters);
     }
@@ -251,7 +227,7 @@ impl InflightTable {
     /// Removes and returns the in-flight speculative read for `vpn`, if
     /// any — a demand fault adopting the flight. The flight's queue
     /// entry stays behind and is skipped later by its id guard.
-    fn absorb_prefetch(&mut self, vpn: Vpn) -> Option<PrefetchFlight> {
+    pub(in crate::monitor) fn absorb_prefetch(&mut self, vpn: Vpn) -> Option<PrefetchFlight> {
         let slot = self
             .prefetch_slots
             .iter()
@@ -274,7 +250,7 @@ impl InflightTable {
         self.slots
             .iter()
             .filter_map(Option::as_ref)
-            .any(|op| op.vpn == vpn)
+            .any(|op| op.intake.vpn == vpn)
             || self
                 .prefetch_slots
                 .iter()
@@ -315,10 +291,11 @@ pub struct CompletedFault {
 }
 
 impl Monitor {
-    /// Submits one page fault to the staged pipeline. Inline-resolvable
-    /// faults (first touch, write-list steal) complete before returning;
-    /// faults that must wait on the store or on an in-flight write park
-    /// in the in-flight table and are finished by
+    /// Submits one page fault to the staged pipeline: runs the fault
+    /// path's start stage, which completes inline-resolvable faults
+    /// (first touch, write-list steal, tier hit, synchronous read)
+    /// before returning. Faults that must wait on the store or on an
+    /// in-flight write park in the in-flight table and are finished by
     /// [`Monitor::complete_next`] in completion order.
     ///
     /// # Panics
@@ -339,104 +316,18 @@ impl Monitor {
             self.inflight.len() < depth,
             "submit_fault: in-flight table full (depth {depth}); call complete_next first"
         );
-        let intake = self.fault_intake(pt, vpn, write);
-
-        // A second vCPU faulting on a page whose fetch is already in
-        // flight coalesces onto the pending operation instead of issuing
-        // a duplicate read.
-        if let Some(op) = self.inflight.by_vpn_mut(vpn) {
-            let id = op.id;
-            op.waiters.push(Waiter {
-                t0: intake.t0,
-                span: intake.span,
-                write,
-            });
-            self.stats.coalesced_faults.inc();
-            self.trace(|| format!("fault on {vpn} coalesced onto in-flight op {id}"));
-            return SubmitOutcome::Coalesced(id);
-        }
-
-        if !intake.seen {
-            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
-            let res = self.handle_first_touch(uffd, pt, pm, vpn);
-            self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-            return SubmitOutcome::Completed(res);
-        }
-        self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
-        // A refault, and not a coalesced one (those returned above):
-        // measure it against the shadow table exactly once.
-        self.note_refault(vpn);
-        let key = self.key(vpn);
-        match self.stage_steal_check(key) {
-            StealOutcome::Stolen(contents) => {
-                self.stats.write_list_steals.inc();
-                // Make room (the page is coming back in).
-                self.evict_while_full(uffd, pt, pm);
-                let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-                self.stage_post_wake(uffd, pt, pm, vpn);
-                let res = FaultResolution {
-                    resolution: Resolution::WriteListSteal,
-                    wake_at,
-                };
-                self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-                SubmitOutcome::Completed(res)
-            }
-            StealOutcome::WaitInflight { until, contents } => {
-                let id = self.inflight.park(
-                    vpn,
-                    write,
-                    intake,
-                    FaultStage::WaitWrite { until, contents },
-                    until,
-                );
-                SubmitOutcome::Parked(id)
-            }
-            StealOutcome::Miss => {
-                // A compressed-tier hit resolves inline, like a steal:
-                // the decompress is CPU work, there is no flight to park.
-                if let Some(contents) = self.tier_try_promote(key) {
-                    // Make room (the page is coming back in).
-                    self.evict_while_full(uffd, pt, pm);
-                    let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-                    self.stage_post_wake(uffd, pt, pm, vpn);
-                    let res = FaultResolution {
-                        resolution: Resolution::CompressedHit,
-                        wake_at,
-                    };
-                    self.finalize_fault(intake.span, intake.t0, res.resolution, res.wake_at);
-                    return SubmitOutcome::Completed(res);
-                }
-                // A demand fault for a page whose speculative read is
-                // still in flight adopts the pending read instead of
-                // issuing a duplicate: the guest pays only the flight's
-                // remaining time (a prefetch hit resolved early).
-                if let Some(pf) = self.inflight.absorb_prefetch(vpn) {
-                    let flight = self.stage_adopt_prefetch(uffd, pt, pm, key, pf);
-                    let completes_at = flight.completes_at();
-                    let id = self.inflight.park(
-                        vpn,
-                        write,
-                        intake,
-                        FaultStage::Fetch(flight),
-                        completes_at,
-                    );
-                    return SubmitOutcome::Parked(id);
-                }
-                let flight = self.stage_issue_read(uffd, pt, pm, key);
-                let completes_at = flight.completes_at();
-                let id =
-                    self.inflight
-                        .park(vpn, write, intake, FaultStage::Fetch(flight), completes_at);
-                SubmitOutcome::Parked(id)
+        match self.start_fault(uffd, pt, pm, vpn, write) {
+            FaultStart::Done(res) => SubmitOutcome::Completed(res),
+            FaultStart::Coalesced(id) => SubmitOutcome::Coalesced(id),
+            FaultStart::Wait(intake, stage) => {
+                SubmitOutcome::Parked(self.inflight.park(intake, stage))
             }
         }
     }
 
     /// Finishes the in-flight operation with the earliest completion
-    /// instant: runs the read bottom half (or the write wait), installs
-    /// the page, wakes the faulting vCPU and every coalesced waiter, and
-    /// runs the post-wake stage. Returns `None` when nothing is in
-    /// flight.
+    /// instant: runs the fault path's finish stage for it and every
+    /// coalesced waiter. Returns `None` when nothing is in flight.
     pub fn complete_next(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -461,52 +352,24 @@ impl Monitor {
                 QueueItem::Fault { id, slot } => break (id, slot),
             }
         };
-        let op = self
+        let InflightFault {
+            id,
+            intake,
+            stage,
+            waiters,
+        } = self
             .inflight
             .take(id, slot)
             .expect("queued operation is live");
-        let InflightFault {
-            id,
-            vpn,
-            write,
-            submitted_at,
-            span,
-            stage,
-            waiters,
-        } = op;
-
-        let (contents, resolution) = match stage {
-            FaultStage::WaitWrite { until, contents } => {
-                self.stage_wait_write(uffd, pt, pm, until);
-                (contents, Resolution::InflightWait)
-            }
-            FaultStage::Fetch(flight) => {
-                let contents = self.stage_complete_read(flight);
-                self.stats.remote_reads.inc();
-                (contents, Resolution::RemoteRead)
-            }
-        };
-
-        let effective_write = write || waiters.iter().any(|w| w.write);
-        let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, effective_write, contents);
-        // One UFFDIO_WAKE per coalesced waiter's vCPU.
-        for _ in &waiters {
-            uffd.wake_page(vpn);
-        }
-        self.stage_post_wake(uffd, pt, pm, vpn);
-
-        self.finalize_fault(span, submitted_at, resolution, wake_at);
-        for w in &waiters {
-            self.finalize_fault(w.span, w.t0, resolution, wake_at);
-        }
+        let res = self.finish_fault(uffd, pt, pm, &intake, stage, &waiters);
         let n_waiters = waiters.len() as u32;
         self.inflight.recycle_waiters(waiters);
         Some(CompletedFault {
             id,
-            vpn,
-            resolution,
-            submitted_at,
-            wake_at,
+            vpn: intake.vpn,
+            resolution: res.resolution,
+            submitted_at: intake.t0,
+            wake_at: res.wake_at,
             waiters: n_waiters,
         })
     }

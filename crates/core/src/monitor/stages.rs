@@ -1,13 +1,19 @@
 //! Fault-handler stages.
 //!
-//! Each stage is one step of the fault pipeline: intake, first-touch
-//! resolution, the steal check, the split top/bottom-half read, page
-//! placement + wake, and post-wake work. [`Monitor::handle_fault`] runs
-//! them back-to-back (the call-return path); the `pipeline` module runs
-//! the same functions with the read flight parked in the in-flight table
-//! between the issue and completion stages. Sharing the stage bodies is
-//! what makes a `max_inflight = 1` pipelined run byte-identical to the
-//! call-return path.
+//! The fault path is written once, as two stages. [`Monitor::start_fault`]
+//! runs intake, coalescing, first touch, the write-list steal, the
+//! compressed-tier promote, adoption of an in-flight speculative read,
+//! and the store read: synchronous when `async_read` is off, otherwise
+//! the split read's top half. Whatever resolves without waiting is
+//! placed and woken on the spot; the rest comes back as a
+//! [`FaultStage`]. [`Monitor::finish_fault`] runs the write wait or the
+//! read bottom half, placement, wakes and post-wake work.
+//!
+//! Two drivers compose the pair: [`Monitor::handle_fault`] finishes
+//! inline (call-return), and the `pipeline` module parks the stage in
+//! the in-flight table until [`Monitor::complete_next`] pops it. At
+//! `max_inflight = 1` the two drivers run the same stages in the same
+//! order.
 
 use fluidmem_kv::{ExternalKey, KvError, PendingGet};
 use fluidmem_mem::{PageContents, PageTable, PhysicalMemory, PteFlags, Vpn};
@@ -23,7 +29,7 @@ use crate::write_list::StealOutcome;
 
 /// A store read in flight: the §V-B top half has been issued and the
 /// overlapped evictor work has run; the bottom half completes at
-/// [`ReadFlight::completes_at`].
+/// [`FaultStage::completes_at`].
 pub(in crate::monitor) struct ReadFlight {
     t0: SimInstant,
     span: SpanId,
@@ -31,23 +37,45 @@ pub(in crate::monitor) struct ReadFlight {
     pending: PendingGet,
 }
 
-impl ReadFlight {
-    /// When the store round trip completes.
+/// Where a fault that could not resolve inline waits.
+pub(in crate::monitor) enum FaultStage {
+    /// The §V-B read top half is issued; the bottom half lands at the
+    /// flight's completion instant.
+    Fetch(ReadFlight),
+    /// The page is in an in-flight write; the fault waits until `until`
+    /// and then installs the buffered copy.
+    WaitWrite {
+        until: SimInstant,
+        contents: PageContents,
+    },
+}
+
+impl FaultStage {
+    /// When the awaited store read or write completes.
     pub(in crate::monitor) fn completes_at(&self) -> SimInstant {
-        self.pending.completes_at()
+        match self {
+            FaultStage::Fetch(flight) => flight.pending.completes_at(),
+            FaultStage::WaitWrite { until, .. } => *until,
+        }
     }
+}
+
+/// What [`Monitor::start_fault`] left for its driver.
+pub(in crate::monitor) enum FaultStart {
+    /// Resolved without waiting; the guest is already woken.
+    Done(FaultResolution),
+    /// Attached as a waiter to the in-flight operation with this id.
+    Coalesced(u64),
+    /// Waiting on a store read or an in-flight write;
+    /// [`Monitor::finish_fault`] completes it.
+    Wait(FaultIntake, FaultStage),
 }
 
 impl Monitor {
     /// Fault intake: opens the fault span, retires completed writes,
     /// runs the LRU policy's per-fault maintenance, and looks the page
     /// up in the page tracker.
-    pub(in crate::monitor) fn fault_intake(
-        &mut self,
-        pt: &mut PageTable,
-        vpn: Vpn,
-        write: bool,
-    ) -> FaultIntake {
+    fn fault_intake(&mut self, pt: &mut PageTable, vpn: Vpn, write: bool) -> FaultIntake {
         let t0 = self.clock.now();
         let span = self
             .telemetry
@@ -74,29 +102,166 @@ impl Monitor {
         self.charge(&self.config.costs.hash_lookup.clone());
         let seen = self.tracker.contains(vpn);
         self.telemetry.end(lookup);
-        FaultIntake { t0, span, seen }
+        FaultIntake {
+            vpn,
+            write,
+            t0,
+            span,
+            seen,
+        }
     }
 
     /// Fault completion: closes the fault span at the wake instant and
     /// records the guest-observed latency.
-    pub(in crate::monitor) fn finalize_fault(
-        &mut self,
-        span: SpanId,
-        t0: SimInstant,
-        resolution: Resolution,
-        wake_at: SimInstant,
-    ) {
+    fn finalize_fault(&mut self, fault: &FaultIntake, res: FaultResolution) {
         // The guest-observed latency ends at the wake, not at the end of
         // post-wake work (which has already advanced the clock).
-        self.telemetry.end_at(span, wake_at);
+        self.telemetry.end_at(fault.span, res.wake_at);
         self.telemetry
-            .instant_at(consts::TRACK_GUEST, "wake", wake_at);
-        self.fault_latency[resolution.index()].observe(wake_at - t0);
+            .instant_at(consts::TRACK_GUEST, "wake", res.wake_at);
+        self.fault_latency[res.resolution.index()].observe(res.wake_at - fault.t0);
         self.update_gauges();
     }
 
+    /// The fault path's start stage. Runs intake, then resolves what it
+    /// can without waiting: a fault on a page whose operation is already
+    /// in flight coalesces onto it, a first touch zero-fills, and a
+    /// refault tries the write list, the compressed tier, an in-flight
+    /// speculative read, and finally the store. Inline resolutions are
+    /// placed and woken here; a write wait or a split read's flight comes
+    /// back as [`FaultStart::Wait`].
+    pub(in crate::monitor) fn start_fault(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        vpn: Vpn,
+        write: bool,
+    ) -> FaultStart {
+        let intake = self.fault_intake(pt, vpn, write);
+        // A second vCPU faulting on a page whose fetch is already in
+        // flight coalesces onto the pending operation instead of issuing
+        // a duplicate read.
+        let intake = match self.inflight.coalesce(intake) {
+            Ok(id) => {
+                self.stats.coalesced_faults.inc();
+                self.trace(|| format!("fault on {vpn} coalesced onto in-flight op {id}"));
+                return FaultStart::Coalesced(id);
+            }
+            Err(intake) => intake,
+        };
+        if !intake.seen {
+            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
+            let res = self.handle_first_touch(uffd, pt, pm, vpn);
+            self.finalize_fault(&intake, res);
+            return FaultStart::Done(res);
+        }
+        self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
+        // A refault, and not a coalesced one (those returned above):
+        // measure it against the shadow table exactly once, before any
+        // resolution work.
+        self.note_refault(vpn);
+        let key = self.key(vpn);
+        let resolved = match self.stage_steal_check(key) {
+            StealOutcome::Stolen(contents) => {
+                self.stats.write_list_steals.inc();
+                // Make room (the page is coming back in).
+                self.evict_while_full(uffd, pt, pm);
+                (contents, Resolution::WriteListSteal)
+            }
+            StealOutcome::WaitInflight { until, contents } => {
+                return FaultStart::Wait(intake, FaultStage::WaitWrite { until, contents });
+            }
+            // The compressed local tier sits between the write list and
+            // the remote store: a pool hit resolves for a decompress, no
+            // network round trip.
+            StealOutcome::Miss => match self.tier_try_promote(key) {
+                Some(contents) => {
+                    // Make room (the page is coming back in).
+                    self.evict_while_full(uffd, pt, pm);
+                    (contents, Resolution::CompressedHit)
+                }
+                None => {
+                    // A demand fault for a page whose speculative read is
+                    // still in flight adopts the pending read instead of
+                    // issuing a duplicate: the guest pays only the
+                    // flight's remaining time, and no second copy of the
+                    // page is left to land later.
+                    if let Some(pf) = self.inflight.absorb_prefetch(vpn) {
+                        let flight = self.stage_adopt_prefetch(uffd, pt, pm, key, pf);
+                        return FaultStart::Wait(intake, FaultStage::Fetch(flight));
+                    }
+                    if self.config.optimizations.async_read {
+                        let flight = self.stage_issue_read(uffd, pt, pm, key);
+                        return FaultStart::Wait(intake, FaultStage::Fetch(flight));
+                    }
+                    let contents = self.read_sync(uffd, pt, pm, key);
+                    self.stats.remote_reads.inc();
+                    (contents, Resolution::RemoteRead)
+                }
+            },
+        };
+        FaultStart::Done(self.land_fault(uffd, pt, pm, &intake, resolved, &[]))
+    }
+
+    /// The fault path's finish stage: the write wait or the read bottom
+    /// half, then placement, wakes and post-wake work for the fault and
+    /// every waiter coalesced onto it.
+    pub(in crate::monitor) fn finish_fault(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        intake: &FaultIntake,
+        stage: FaultStage,
+        waiters: &[FaultIntake],
+    ) -> FaultResolution {
+        let resolved = match stage {
+            FaultStage::WaitWrite { until, contents } => {
+                self.stage_wait_write(uffd, pt, pm, until);
+                (contents, Resolution::InflightWait)
+            }
+            FaultStage::Fetch(flight) => {
+                let contents = self.stage_complete_read(flight);
+                self.stats.remote_reads.inc();
+                (contents, Resolution::RemoteRead)
+            }
+        };
+        self.land_fault(uffd, pt, pm, intake, resolved, waiters)
+    }
+
+    /// Installs a resolved page, wakes the faulting vCPU and each
+    /// coalesced waiter's, runs the post-wake stage, and closes every
+    /// fault's span at the wake instant.
+    fn land_fault(
+        &mut self,
+        uffd: &mut Userfaultfd,
+        pt: &mut PageTable,
+        pm: &mut PhysicalMemory,
+        intake: &FaultIntake,
+        (contents, resolution): (PageContents, Resolution),
+        waiters: &[FaultIntake],
+    ) -> FaultResolution {
+        let vpn = intake.vpn;
+        let write = intake.write || waiters.iter().any(|w| w.write);
+        let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
+        // One UFFDIO_WAKE per coalesced waiter's vCPU.
+        for _ in waiters {
+            uffd.wake_page(vpn);
+        }
+        self.stage_post_wake(uffd, pt, pm, vpn);
+        let res = FaultResolution {
+            resolution,
+            wake_at,
+        };
+        for fault in std::iter::once(intake).chain(waiters) {
+            self.finalize_fault(fault, res);
+        }
+        res
+    }
+
     /// Figure 2's fast path: zero-fill, wake, then evict asynchronously.
-    pub(in crate::monitor) fn handle_first_touch(
+    fn handle_first_touch(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -142,62 +307,9 @@ impl Monitor {
         }
     }
 
-    /// The read path: the page was evicted earlier and must come back.
-    pub(in crate::monitor) fn handle_refault(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-        write: bool,
-    ) -> FaultResolution {
-        // A seen page faulting again is a refault: measure its distance
-        // against the shadow table before any resolution work.
-        self.note_refault(vpn);
-        let key = self.key(vpn);
-        let steal = self.stage_steal_check(key);
-        let (contents, resolution) = match steal {
-            StealOutcome::Stolen(contents) => {
-                self.stats.write_list_steals.inc();
-                // Make room (the page is coming back in).
-                self.evict_while_full(uffd, pt, pm);
-                (contents, Resolution::WriteListSteal)
-            }
-            StealOutcome::WaitInflight { until, contents } => {
-                self.stage_wait_write(uffd, pt, pm, until);
-                (contents, Resolution::InflightWait)
-            }
-            StealOutcome::Miss => {
-                // The compressed local tier sits between the write list
-                // and the remote store: a pool hit resolves for a
-                // decompress, no network round trip.
-                if let Some(contents) = self.tier_try_promote(key) {
-                    // Make room (the page is coming back in).
-                    self.evict_while_full(uffd, pt, pm);
-                    (contents, Resolution::CompressedHit)
-                } else {
-                    let contents = if self.config.optimizations.async_read {
-                        let flight = self.stage_issue_read(uffd, pt, pm, key);
-                        self.stage_complete_read(flight)
-                    } else {
-                        self.read_sync(uffd, pt, pm, key)
-                    };
-                    self.stats.remote_reads.inc();
-                    (contents, Resolution::RemoteRead)
-                }
-            }
-        };
-        let wake_at = self.stage_place_and_wake(uffd, pt, pm, vpn, write, contents);
-        self.stage_post_wake(uffd, pt, pm, vpn);
-        FaultResolution {
-            resolution,
-            wake_at,
-        }
-    }
-
     /// §V-B: "the page fault handler can steal pages from the pending
     /// write list ... and shortcut two round trips".
-    pub(in crate::monitor) fn stage_steal_check(&mut self, key: ExternalKey) -> StealOutcome {
+    fn stage_steal_check(&mut self, key: ExternalKey) -> StealOutcome {
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "steal_check");
         self.charge(&self.config.costs.steal_check.clone());
         let steal = self.write_list.steal(key, self.clock.now());
@@ -208,7 +320,7 @@ impl Monitor {
     /// Waits out an in-flight write of the faulted page: "there is no
     /// other choice than to wait for the write to complete", after which
     /// the buffered copy is used.
-    pub(in crate::monitor) fn stage_wait_write(
+    fn stage_wait_write(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -225,7 +337,7 @@ impl Monitor {
     /// that overlaps the flight: eviction (`UFFD_REMAP` "at a time when
     /// the vCPU thread was already suspended") and cache bookkeeping —
     /// the evictor stage running during the store round trip.
-    pub(in crate::monitor) fn stage_issue_read(
+    fn stage_issue_read(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -258,7 +370,7 @@ impl Monitor {
     /// Completes a read flight's bottom half. A retryable failure falls
     /// back to synchronous retries with backoff — the extra wait lands on
     /// this fault's latency, as it would in reality.
-    pub(in crate::monitor) fn stage_complete_read(&mut self, flight: ReadFlight) -> PageContents {
+    fn stage_complete_read(&mut self, flight: ReadFlight) -> PageContents {
         let ReadFlight {
             t0,
             span,
@@ -289,7 +401,7 @@ impl Monitor {
     /// Installs the page with `UFFD_COPY`, inserts it into the LRU, and
     /// wakes the faulting vCPU. Returns the wake instant (the end of the
     /// guest-observed critical path).
-    pub(in crate::monitor) fn stage_place_and_wake(
+    fn stage_place_and_wake(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -325,7 +437,7 @@ impl Monitor {
 
     /// Post-wake work on the read path: honor the capacity budget, then
     /// prefetch and flush.
-    pub(in crate::monitor) fn stage_post_wake(
+    fn stage_post_wake(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
@@ -600,7 +712,7 @@ impl Monitor {
     /// flight: the guest asked for the page mid-flight and pays only the
     /// remaining flight time (a prefetch hit, resolved early). Runs the
     /// same overlapped evictor work as [`Monitor::stage_issue_read`].
-    pub(in crate::monitor) fn stage_adopt_prefetch(
+    fn stage_adopt_prefetch(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,

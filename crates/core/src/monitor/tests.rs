@@ -707,6 +707,56 @@ fn deeper_pipeline_overlaps_store_reads() {
 }
 
 #[test]
+fn sync_read_completes_inline_on_the_pipelined_path() {
+    // Regression: the pipelined entry point ignored `async_read = false`
+    // and parked a split read; the synchronous read has nothing to wait
+    // on once it returns, so the fault completes inline.
+    let config = MonitorConfig::new(16)
+        .inflight(4)
+        .optimizations(crate::Optimizations::none());
+    let mut r = rig(16, Some(config));
+    for i in 0..4 {
+        fault(&mut r, i, true);
+    }
+    r.monitor.resize(&mut r.uffd, &mut r.pt, &mut r.pm, 0);
+    r.monitor.drain_writes();
+    r.monitor.resize(&mut r.uffd, &mut r.pt, &mut r.pm, 16);
+
+    let out = pipelined_fault(&mut r, 0, false);
+    assert!(
+        matches!(out, SubmitOutcome::Completed(res) if res.resolution == Resolution::RemoteRead),
+        "{out:?}"
+    );
+    assert_eq!(r.monitor.inflight_len(), 0);
+    assert_eq!(r.monitor.stats().remote_reads, 1);
+}
+
+#[test]
+fn call_return_fault_on_a_parked_page_waits_for_its_operation() {
+    // Mixing drivers: a call-return fault on a page whose read the
+    // pipelined driver parked coalesces onto that read and returns once
+    // it completes, instead of issuing a duplicate read.
+    let deep = MonitorConfig::new(16).inflight(4);
+    let mut r = rig(16, Some(deep));
+    for i in 0..4 {
+        fault(&mut r, i, true);
+    }
+    r.monitor.resize(&mut r.uffd, &mut r.pt, &mut r.pm, 0);
+    r.monitor.drain_writes();
+    r.monitor.resize(&mut r.uffd, &mut r.pt, &mut r.pm, 16);
+
+    let parked = pipelined_fault(&mut r, 0, false);
+    assert!(matches!(parked, SubmitOutcome::Parked(_)), "{parked:?}");
+    let res = fault(&mut r, 0, true);
+    assert_eq!(res.resolution, Resolution::RemoteRead);
+    assert_eq!(r.monitor.inflight_len(), 0);
+    let stats = r.monitor.stats();
+    assert_eq!(stats.remote_reads, 1, "no duplicate read: {stats:?}");
+    assert_eq!(stats.coalesced_faults, 1, "{stats:?}");
+    assert!(r.pt.has_flags(r.region.page(0).vpn(), PteFlags::DIRTY));
+}
+
+#[test]
 fn fault_on_inflight_page_coalesces_onto_the_pending_read() {
     let deep = MonitorConfig::new(16).inflight(4);
     let mut r = rig(16, Some(deep));

@@ -17,6 +17,23 @@ cargo build -q --workspace --all-targets
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> paper binaries: default-argument stdout must match results/"
+# results/*.txt are the committed outputs EXPERIMENTS.md quotes; any
+# drift in a paper binary's output must arrive as a reviewed diff to
+# them. Regenerate with: target/release/<bin> > results/<bin>.txt
+cargo build -q --release -p fluidmem-bench --bins
+release_dir="${CARGO_TARGET_DIR:-target}/release"
+results_out="$(mktemp)"
+for bin in table1 table2 table3 fig2 fig3 fig4 fig5 timeouts ablations; do
+    "$release_dir/$bin" > "$results_out"
+    cmp -s "$results_out" "results/$bin.txt" || {
+        echo "paper binaries: $bin stdout differs from results/$bin.txt" >&2
+        diff "results/$bin.txt" "$results_out" | head -20 >&2
+        exit 1
+    }
+done
+rm -f "$results_out"
+
 echo "==> telemetry smoke: fluidmem trace --scenario pmbench"
 trace_file="$(mktemp)"
 cargo run -q --bin fluidmem -- trace --scenario pmbench --out "$trace_file" > /dev/null

@@ -412,3 +412,55 @@ fn headroom_gate_suppresses_until_capacity_grows() {
     assert!(after.prefetch_issued > 0, "{after:?}");
     assert!(after.prefetched_pages > 0, "{after:?}");
 }
+
+/// Regression for stale installs from call-return faults on a pipelined
+/// monitor: a demand fault on a page whose speculative read is parked
+/// adopts that read. It used to issue a duplicate demand read and leave
+/// the speculative one parked, and a later poll landed the read's
+/// issue-time snapshot over data the guest had written since.
+#[test]
+fn call_return_fault_adopts_parked_read_instead_of_installing_stale_data() {
+    let clock = SimClock::new();
+    let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(21));
+    let mut vm = FluidMemMemory::new(
+        MonitorConfig::new(1024)
+            .prefetch(PrefetchPolicy::Stride {
+                window: 16,
+                max_depth: 8,
+            })
+            .optimizations(Optimizations::full())
+            .inflight(8),
+        Box::new(store),
+        PartitionId::new(0),
+        clock,
+        SimRng::seed_from_u64(22),
+    );
+    let region = vm.map_region(256, PageClass::Anonymous);
+    for p in 0..256 {
+        vm.write_page(region.page(p), PageContents::Token(p));
+    }
+    vm.set_local_capacity(0).unwrap();
+    vm.drain_writes();
+    vm.set_local_capacity(1024).unwrap();
+
+    for p in 0..40 {
+        let (contents, _) = vm.read_page(region.page(p));
+        assert_eq!(contents, PageContents::Token(p));
+    }
+    assert!(
+        vm.monitor().inflight_prefetch_len() > 0,
+        "the sequential scan leaves speculative reads parked"
+    );
+
+    vm.write_page(region.page(30), PageContents::Token(999));
+    vm.set_local_capacity(0).unwrap();
+    vm.drain_writes();
+    vm.set_local_capacity(1024).unwrap();
+    vm.poll_ready_completions();
+    let (contents, _) = vm.read_page(region.page(30));
+    assert_eq!(
+        contents,
+        PageContents::Token(999),
+        "a parked read landed stale data"
+    );
+}
