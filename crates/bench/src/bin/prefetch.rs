@@ -20,8 +20,8 @@
 //!
 //! On the pipelined rows speculative reads park as real in-flight
 //! operations, so a demand fault for a page already on the wire adopts
-//! the flight and pays only its remaining time — the strided-phase p50
-//! collapse the `prefetch_gate` record reports. On the random phase the
+//! the flight and pays only its remaining time — the strided-phase drop
+//! in mean access latency the `prefetch_gate` record reports. On the random phase the
 //! detector must decay and stop issuing within one window.
 //!
 //! Runs are fully deterministic: a fixed `--seed` reproduces the output
@@ -132,6 +132,9 @@ struct PhaseResult {
     /// guest-visible distribution a prefetcher actually moves.
     access_p50: f64,
     access_p99: f64,
+    /// Mean over all accesses: the headline, which unlike the p50 does
+    /// not read 0 once most accesses hit.
+    access_mean: f64,
     /// p50 over faulting accesses only: what one fault still costs.
     fault_p50: f64,
     issued: u64,
@@ -235,6 +238,7 @@ fn run_config(sizes: &Sizes, seed: u64, policy: PrefetchPolicy, depth: usize) ->
             faults,
             access_p50: access_latencies.percentile(0.50),
             access_p99: access_latencies.percentile(0.99),
+            access_mean: access_latencies.mean(),
             fault_p50: fault_latencies.percentile(0.50),
             issued: after.prefetch_issued - before.prefetch_issued,
             prefetch_hits: after.prefetch_hits - before.prefetch_hits,
@@ -311,8 +315,8 @@ fn main() {
         "accuracy",
     ]);
     let mut fatal_errors = 0u64;
-    let mut strided_none_p50 = 0.0f64;
-    let mut strided_pipe: Option<(f64, f64, f64)> = None; // (hit_rate, accuracy, access_p50)
+    let mut strided_none: Option<(f64, f64)> = None; // (access_p50, access_mean)
+    let mut strided_pipe: Option<(f64, f64, f64, f64)> = None; // (hit_rate, accuracy, access_p50, access_mean)
     for (label, policy, depth) in rows {
         let run = run_config(&sizes, args.seed, policy, depth);
         fatal_errors += run.fatal_errors;
@@ -349,9 +353,10 @@ fn main() {
             );
             if r.phase == "strided" {
                 match label {
-                    "none-pipe8" => strided_none_p50 = r.access_p50,
+                    "none-pipe8" => strided_none = Some((r.access_p50, r.access_mean)),
                     "stride-pipe8" => {
-                        strided_pipe = Some((r.hit_rate(), r.accuracy(), r.access_p50));
+                        strided_pipe =
+                            Some((r.hit_rate(), r.accuracy(), r.access_p50, r.access_mean));
                     }
                     _ => {}
                 }
@@ -362,23 +367,22 @@ fn main() {
 
     // The gate record: strided-phase quality of the depth-8 pipelined
     // stride row against the same-depth no-prefetch baseline. The metric
-    // is the p50 over *all* accesses — a prefetcher wins by turning
+    // is the mean over *all* accesses — a prefetcher wins by turning
     // faults into zero-latency hits, so the guest-visible distribution
-    // is the honest comparison (residual faults are trend restarts and
-    // still cost full latency individually).
-    let (hit_rate, accuracy, p50) = strided_pipe.expect("stride-pipe8 row ran");
-    // When the median access is a prefetch hit, access p50 is 0; floor
-    // the divisor so the improvement ratio stays finite.
-    let p50_improvement = strided_none_p50 / p50.max(0.01);
+    // is the honest comparison, and its mean still counts the residual
+    // faults (trend restarts) that a 0 µs median hides.
+    let (hit_rate, accuracy, p50, mean) = strided_pipe.expect("stride-pipe8 row ran");
+    let (none_p50, none_mean) = strided_none.expect("none-pipe8 row ran");
+    let mean_improvement = none_mean / mean;
     println!(
         "\nStrided phase, depth-8 pipeline: hit rate {}, detector accuracy {},\n\
-         access p50 {} µs vs {} µs without prefetch ({}x better); \
+         access mean {} µs vs {} µs without prefetch ({}x better); \
          {} fatal store errors.",
         f2(hit_rate),
         f2(accuracy),
-        f2(p50),
-        f2(strided_none_p50),
-        f2(p50_improvement),
+        f2(mean),
+        f2(none_mean),
+        f2(mean_improvement),
         fatal_errors
     );
     emit(
@@ -389,8 +393,10 @@ fn main() {
             .field("strided_hit_rate", hit_rate)
             .field("strided_accuracy", accuracy)
             .field("strided_access_p50_us", p50)
-            .field("strided_access_p50_none_us", strided_none_p50)
-            .field("p50_improvement", p50_improvement)
+            .field("strided_access_p50_none_us", none_p50)
+            .field("strided_access_mean_us", mean)
+            .field("strided_access_mean_none_us", none_mean)
+            .field("mean_improvement", mean_improvement)
             .field("fatal_errors", fatal_errors as i64),
     );
 }

@@ -80,7 +80,6 @@ impl Monitor {
         {
             self.stats.prefetch_wasted.inc();
         }
-        self.trace(|| format!("evicting {victim} from the top of the LRU via UFFD_REMAP"));
         Some(victim)
     }
 
@@ -141,9 +140,14 @@ impl Monitor {
             // The compressed tier gets first refusal; only bypassed pages
             // (tier off, thrash gate, incompressible) stage for writeback.
             if let Some(contents) = self.tier_try_admit(key, contents, None) {
+                let span =
+                    self.telemetry
+                        .begin_with(consts::TRACK_MONITOR, "write_list_push", || {
+                            vec![("key", format!("{key}"))]
+                        });
                 self.charge(&self.config.costs.write_list_push.clone());
                 self.write_list.push(key, contents, ready_at);
-                self.trace(|| format!("{} queued on the write list", key));
+                self.telemetry.end(span);
             }
         } else {
             self.charge(&self.config.costs.sync_write_staging.clone());
@@ -184,11 +188,17 @@ impl Monitor {
         match self.store.begin_multi_write(batch) {
             Ok(pending) => {
                 let completes_at = pending.completes_at();
+                // The batch's flight on the kv track, like a read's.
+                self.telemetry.record_span(
+                    consts::TRACK_KV,
+                    "kv.multi_write.flight",
+                    pending.issued_at(),
+                    completes_at,
+                );
                 // The flusher thread owns the bottom half; the critical
                 // path only remembers the batch for stealing.
                 self.write_list.mark_inflight(retained, completes_at);
                 self.stats.flushes.inc();
-                self.trace(|| "flusher: batch multi-written to the key-value store".to_string());
             }
             Err(e) if e.is_retryable() => {
                 // The batch goes back on the write list (already past its
@@ -200,7 +210,6 @@ impl Monitor {
                 // re-evicted with newer contents in the meantime rather
                 // than clobbering it with the stale batch copy.
                 self.stats.flush_failures.inc();
-                self.trace(|| format!("flusher: multi-write failed ({e}); batch requeued"));
                 let now = self.clock.now();
                 self.write_list.requeue(retained, now);
             }
@@ -235,7 +244,6 @@ impl Monitor {
                     clock,
                     rng,
                     stats,
-                    tracer,
                     ..
                 } = self;
                 let clock = &*clock;
@@ -244,12 +252,9 @@ impl Monitor {
                     clock,
                     rng,
                     0,
-                    |_, e| {
+                    |_, _| {
                         tries += 1;
                         stats.write_retries.inc();
-                        tracer.emit(clock.now(), "monitor", || {
-                            format!("drain: multi-write failed ({e}); retrying")
-                        });
                     },
                     |_| store.multi_write(batch.clone()),
                 )

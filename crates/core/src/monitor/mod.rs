@@ -30,7 +30,7 @@ pub use pipeline::{CompletedFault, SubmitOutcome};
 use fluidmem_coord::PartitionId;
 use fluidmem_kv::{ExternalKey, KeyValueStore, PendingGet};
 use fluidmem_mem::{AccessOutcome, PageTable, PhysicalMemory, Region, Vpn};
-use fluidmem_sim::{SimClock, SimInstant, SimRng, Tracer};
+use fluidmem_sim::{SimClock, SimInstant, SimRng};
 use fluidmem_uffd::Userfaultfd;
 
 use crate::config::{MonitorConfig, PrefetchPolicy};
@@ -199,7 +199,6 @@ pub struct Monitor {
     pub(in crate::monitor) prefetch_pending_touch: std::collections::BTreeMap<Vpn, SimInstant>,
     /// Issue→first-touch distance of prefetched pages that were used.
     pub(in crate::monitor) prefetch_timeliness: Histogram,
-    pub(in crate::monitor) tracer: Tracer,
     pub(in crate::monitor) clock: SimClock,
     pub(in crate::monitor) rng: SimRng,
 }
@@ -254,7 +253,6 @@ impl Monitor {
             stride,
             prefetch_pending_touch: std::collections::BTreeMap::new(),
             prefetch_timeliness: Histogram::new(),
-            tracer: Tracer::disabled(),
             clock,
             rng,
         };
@@ -397,21 +395,6 @@ impl Monitor {
         self.inflight_parked_ops.set(self.inflight.len() as i64);
     }
 
-    /// Turns on event tracing (for the Figure 2 timeline and debugging).
-    pub fn enable_tracing(&mut self) {
-        self.tracer = Tracer::enabled();
-    }
-
-    /// The recorded trace events.
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    pub(in crate::monitor) fn trace(&mut self, message: impl FnOnce() -> String) {
-        let now = self.clock.now();
-        self.tracer.emit(now, "monitor", message);
-    }
-
     /// The monitor's configuration.
     pub fn config(&self) -> &MonitorConfig {
         &self.config
@@ -496,14 +479,11 @@ impl Monitor {
         else {
             return;
         };
-        let from = self.lru.capacity();
-        let wss = self.workingset.wss_estimate();
-        if target > from {
+        if target > self.lru.capacity() {
             self.stats.adaptive_grows.inc();
         } else {
             self.stats.adaptive_shrinks.inc();
         }
-        self.trace(|| format!("workingset: adaptive capacity {from} -> {target} (wss {wss})"));
         self.lru.set_capacity(target);
     }
 
@@ -623,7 +603,6 @@ impl Monitor {
                 > self.lru.capacity() + self.config.tier.pool_pages_estimate()
         {
             self.stats.tier_bypass_thrash.inc();
-            self.trace(|| format!("tier: {key} bypassed (thrash gate)"));
             return Some(contents);
         }
         // The compression attempt is how incompressibility is
@@ -640,12 +619,10 @@ impl Monitor {
             .filter(|&bytes| bytes <= self.config.tier.max_bytes);
         let Some(bytes) = compressed else {
             self.stats.tier_bypass_incompressible.inc();
-            self.trace(|| format!("tier: {key} bypassed (incompressible)"));
             return Some(contents);
         };
         self.tier.admit(key, contents, bytes);
         self.stats.tier_admits.inc();
-        self.trace(|| format!("tier: {key} admitted ({bytes} compressed bytes)"));
         // Watermark hysteresis: crossing the high mark demotes a batch
         // down to the low mark, not one page per admission.
         if self.tier.bytes() > self.config.tier.high_bytes() {
@@ -680,7 +657,6 @@ impl Monitor {
             };
             self.write_list.push(key, contents, ready_at);
             self.stats.tier_demotions.inc();
-            self.trace(|| format!("tier: {key} demoted to the write list"));
         }
     }
 
@@ -698,7 +674,6 @@ impl Monitor {
             Some(contents) => {
                 self.charge(&self.config.tier.decompress.clone());
                 self.stats.tier_hits.inc();
-                self.trace(|| format!("tier: {key} promoted to DRAM"));
                 Some(contents)
             }
             None => {

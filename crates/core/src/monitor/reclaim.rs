@@ -103,8 +103,6 @@ impl Monitor {
                 return;
             }
             self.reclaim.awake = true;
-            let headroom = self.headroom();
-            self.trace(|| format!("reclaim: woke (headroom {headroom} < low watermark {low})"));
         }
         // A buffer at (or over) capacity would force the caller's inline
         // loop to evict on the fault path: the evictor preempts and runs
@@ -190,14 +188,6 @@ impl Monitor {
             self.telemetry
                 .record_span(consts::TRACK_MONITOR, "reclaim", start, thread_now);
             self.reclaim.cursor = thread_now;
-            let headroom = self.headroom();
-            let asleep = !self.reclaim.awake;
-            self.trace(|| {
-                format!(
-                    "reclaim: batch of {evicted} evicted (headroom {headroom}, high {high}{})",
-                    if asleep { "; sleeping" } else { "" }
-                )
-            });
             self.maybe_flush();
             self.update_gauges();
         }

@@ -95,7 +95,6 @@ impl Monitor {
 
         // "The monitor keeps a list of already seen pages to avoid reads
         // from the remote key-value store for first-time accesses."
-        self.trace(|| format!("userfaultfd event: fault at {vpn} (write={write})"));
         let lookup = self
             .telemetry
             .begin(consts::TRACK_MONITOR, "page_hash_lookup");
@@ -145,18 +144,15 @@ impl Monitor {
         let intake = match self.inflight.coalesce(intake) {
             Ok(id) => {
                 self.stats.coalesced_faults.inc();
-                self.trace(|| format!("fault on {vpn} coalesced onto in-flight op {id}"));
                 return FaultStart::Coalesced(id);
             }
             Err(intake) => intake,
         };
         if !intake.seen {
-            self.trace(|| format!("pagetracker: {vpn} unseen -> zero-page path"));
             let res = self.handle_first_touch(uffd, pt, pm, vpn);
             self.finalize_fault(&intake, res);
             return FaultStart::Done(res);
         }
-        self.trace(|| format!("pagetracker: {vpn} seen before -> read path"));
         // A refault, and not a coalesced one (those returned above):
         // measure it against the shadow table exactly once, before any
         // resolution work.
@@ -295,7 +291,6 @@ impl Monitor {
 
         uffd.wake_page(vpn);
         let wake_at = self.clock.now();
-        self.trace(|| format!("UFFD_ZEROPAGE resolved {vpn}; guest woken (end of critical path)"));
         self.stats.zero_fills.inc();
 
         // Asynchronous (post-wake) eviction — the blue path of Figure 2.
@@ -346,7 +341,6 @@ impl Monitor {
     ) -> ReadFlight {
         let t0 = self.clock.now();
         let span = self.telemetry.begin(consts::TRACK_MONITOR, "kv.read");
-        self.trace(|| format!("async read top half issued for {key}"));
         let pending = self.store.begin_get(key);
         // The in-flight window on the kv track: its span visibly overlaps
         // the UFFD_REMAP / bookkeeping the monitor does meanwhile (§V-B).
@@ -385,7 +379,6 @@ impl Monitor {
             }
             Err(e) if e.is_retryable() => {
                 self.stats.read_retries.inc();
-                self.trace(|| format!("async read of {key} failed ({e}); retrying"));
                 let wait = self.config.retry.backoff(0, &mut self.rng);
                 self.clock.advance(wait);
                 self.fetch_with_retries(key, 1)
@@ -430,9 +423,7 @@ impl Monitor {
             .record(CodePath::InsertLruCacheNode, self.clock.now() - t0);
 
         uffd.wake_page(vpn);
-        let wake_at = self.clock.now();
-        self.trace(|| format!("{vpn} installed via UFFD_COPY; guest woken (end of critical path)"));
-        wake_at
+        self.clock.now()
     }
 
     /// Post-wake work on the read path: honor the capacity budget, then
@@ -521,9 +512,6 @@ impl Monitor {
                 let capacity = self.lru.capacity();
                 if wss > capacity {
                     self.stats.prefetch_suppressed_thrash.inc();
-                    self.trace(|| {
-                        format!("prefetch suppressed: thrashing (wss {wss} > capacity {capacity})")
-                    });
                     self.prefetch_candidates = candidates;
                     return;
                 }
@@ -532,9 +520,6 @@ impl Monitor {
                 let headroom = self.headroom();
                 if headroom < max_depth {
                     self.stats.prefetch_suppressed_headroom.inc();
-                    self.trace(|| {
-                        format!("prefetch suppressed: headroom {headroom} < depth {max_depth}")
-                    });
                     self.prefetch_candidates = candidates;
                     return;
                 }
@@ -571,7 +556,6 @@ impl Monitor {
                     pending.issued_at(),
                     pending.completes_at(),
                 );
-                self.trace(|| format!("speculative read in flight for {candidate}"));
                 self.inflight.park_prefetch(PrefetchFlight {
                     vpn: candidate,
                     pending,
@@ -657,7 +641,6 @@ impl Monitor {
                     // flight; the fetched copy is redundant, not
                     // lost, but it must not vanish unaccounted.
                     self.stats.prefetch_copy_skips.inc();
-                    self.trace(|| format!("prefetch of {candidate} skipped: page already mapped"));
                 }
             }
             Err(KvError::NotFound(_)) => {
@@ -669,17 +652,13 @@ impl Monitor {
                 // with full retries; here the attempt is just dropped
                 // and counted as transient, not as a miss.
                 self.stats.prefetch_transient_errors.inc();
-                self.trace(|| format!("prefetch of {candidate} hit a transient error ({e})"));
             }
-            Err(e) => {
+            Err(_) => {
                 // Non-retryable (corruption, capacity): dropping the
                 // guess costs nothing — the data is exactly where it
                 // was — so degrade instead of panicking like the demand
                 // read path does.
                 self.stats.prefetch_fatal_errors.inc();
-                self.trace(|| {
-                    format!("prefetch of {candidate} dropped on fatal store error ({e})")
-                });
             }
         }
     }
@@ -702,7 +681,6 @@ impl Monitor {
             // installing now would evict a demand-loaded page for a
             // guess. Drop the fetched copy and count the flight wasted.
             self.stats.prefetch_wasted.inc();
-            self.trace(|| format!("prefetch of {vpn} discarded: no LRU headroom at completion"));
             return;
         }
         self.note_prefetch_result(uffd, pt, pm, vpn, issued_at, result);
@@ -725,12 +703,6 @@ impl Monitor {
         self.stats.prefetch_hits.inc();
         self.prefetch_timeliness
             .observe(t0.saturating_since(flight.pending.issued_at()));
-        self.trace(|| {
-            format!(
-                "fault on {} adopted its in-flight speculative read",
-                flight.vpn
-            )
-        });
         self.evict_while_full(uffd, pt, pm);
         self.bookkeeping_update_cache();
         ReadFlight {
@@ -780,7 +752,6 @@ impl Monitor {
                 clock,
                 rng,
                 stats,
-                tracer,
                 ..
             } = self;
             let clock = &*clock;
@@ -789,12 +760,9 @@ impl Monitor {
                 clock,
                 rng,
                 prior_attempts,
-                |attempt, e| {
+                |_, _| {
                     tries += 1;
                     stats.read_retries.inc();
-                    tracer.emit(clock.now(), "monitor", || {
-                        format!("read of {key} failed ({e}); retry {}", attempt + 1)
-                    });
                 },
                 |_| store.get(key),
             )
@@ -824,7 +792,6 @@ impl Monitor {
                 clock,
                 rng,
                 stats,
-                tracer,
                 ..
             } = self;
             let clock = &*clock;
@@ -833,12 +800,9 @@ impl Monitor {
                 clock,
                 rng,
                 0,
-                |attempt, e| {
+                |_, _| {
                     tries += 1;
                     stats.write_retries.inc();
-                    tracer.emit(clock.now(), "monitor", || {
-                        format!("write of {key} failed ({e}); retry {}", attempt + 1)
-                    });
                 },
                 |_| store.put(key, contents.clone()),
             )

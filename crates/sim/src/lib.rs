@@ -52,7 +52,6 @@ mod rng;
 mod series;
 pub mod stats;
 mod time;
-mod trace;
 
 pub use clock::SimClock;
 pub use dist::LatencyModel;
@@ -61,4 +60,3 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultPlanStats};
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use time::{SimDuration, SimInstant};
-pub use trace::{TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY};

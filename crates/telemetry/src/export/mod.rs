@@ -1,14 +1,16 @@
-//! Exporters: Prometheus text exposition, Chrome trace-event JSON, and
-//! JSON-lines records for `results/`.
+//! Exporters: Prometheus text exposition, Chrome trace-event JSON,
+//! JSON-lines records for `results/`, and a plain-text span timeline.
 
 mod chrome;
 mod jsonchk;
 mod jsonl;
 mod prometheus;
+mod timeline;
 
 pub use chrome::{chrome_trace, validate_chrome_trace};
 pub use jsonl::jsonl;
 pub use prometheus::prometheus_text;
+pub use timeline::timeline;
 
 /// Escapes a string for embedding in a JSON string literal.
 pub(crate) fn json_escape(s: &str) -> String {

@@ -17,7 +17,8 @@
 //! * **exporters**: Prometheus text exposition
 //!   ([`Telemetry::export_prometheus`]), Chrome trace-event JSON
 //!   ([`Telemetry::export_chrome_trace`], loadable in Perfetto), and
-//!   JSON lines ([`Telemetry::export_jsonl`]) for `results/`.
+//!   JSON lines ([`Telemetry::export_jsonl`]) for `results/`, and an
+//!   indented plain-text timeline ([`Telemetry::export_timeline`]).
 //!
 //! All exports are byte-deterministic for a given seed, so traces and
 //! metric dumps can be snapshot-tested and diffed across runs.
@@ -52,7 +53,7 @@ mod export;
 mod registry;
 mod span;
 
-pub use export::{chrome_trace, jsonl, prometheus_text, validate_chrome_trace};
+pub use export::{chrome_trace, jsonl, prometheus_text, timeline, validate_chrome_trace};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricKey, Registry, RegistrySnapshot,
 };
@@ -171,6 +172,11 @@ impl Telemetry {
     /// Renders metrics and spans as JSON lines.
     pub fn export_jsonl(&self) -> String {
         jsonl(&self.registry.snapshot(), &self.spans.records())
+    }
+
+    /// Renders recorded spans as a plain-text timeline, one line each.
+    pub fn export_timeline(&self) -> String {
+        timeline(&self.spans.records())
     }
 }
 

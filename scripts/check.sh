@@ -34,15 +34,33 @@ for bin in table1 table2 table3 fig2 fig3 fig4 fig5 timeouts ablations; do
 done
 rm -f "$results_out"
 
-echo "==> telemetry smoke: fluidmem trace --scenario pmbench"
+echo "==> telemetry smoke: fluidmem trace --scenario pmbench, --scenario timeline (twice)"
 trace_file="$(mktemp)"
 cargo run -q --bin fluidmem -- trace --scenario pmbench --out "$trace_file" > /dev/null
 test -s "$trace_file" || { echo "telemetry smoke: empty trace" >&2; exit 1; }
-grep -q '"kv.read.flight"' "$trace_file" || {
-    echo "telemetry smoke: no kv.read.flight spans in trace" >&2
+# The red path's read flight and the blue path's enqueue and batched flush.
+for span in kv.read.flight write_list_push kv.multi_write.flight; do
+    grep -q "\"$span\"" "$trace_file" || {
+        echo "telemetry smoke: no $span spans in trace" >&2
+        exit 1
+    }
+done
+rm -f "$trace_file"
+timeline_a="$(mktemp)"
+timeline_b="$(mktemp)"
+cargo run -q --bin fluidmem -- trace --scenario timeline > "$timeline_a"
+cargo run -q --bin fluidmem -- trace --scenario timeline > "$timeline_b"
+cmp "$timeline_a" "$timeline_b" || {
+    echo "telemetry smoke: timeline output not deterministic" >&2
     exit 1
 }
-rm -f "$trace_file"
+for span in UFFD_ZEROPAGE UFFD_COPY; do
+    grep -q " $span " "$timeline_a" || {
+        echo "telemetry smoke: no $span in the timeline" >&2
+        exit 1
+    }
+done
+rm -f "$timeline_a" "$timeline_b"
 
 echo "==> multi-VM smoke: scaling --smoke (twice, JSON must be byte-identical)"
 scaling_a="$(mktemp)"

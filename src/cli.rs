@@ -30,7 +30,7 @@ fn traced_fluidmem(
     local_pages: u64,
     clock: SimClock,
     seed: u64,
-) -> FluidMemMemory {
+) -> (FluidMemMemory, Telemetry) {
     let store_rng = SimRng::seed_from_u64(seed.wrapping_add(1));
     let store: Box<dyn KeyValueStore> = match backend {
         BackendKind::FluidMemDram => Box::new(fluidmem_kv::DramStore::new(
@@ -45,13 +45,17 @@ fn traced_fluidmem(
         )),
         _ => Box::new(RamCloudStore::new(1 << 30, clock.clone(), store_rng)),
     };
-    FluidMemMemory::new(
+    let mut vm = FluidMemMemory::new(
         MonitorConfig::new(local_pages),
         store,
         PartitionId::new(0),
-        clock,
+        clock.clone(),
         SimRng::seed_from_u64(seed.wrapping_add(2)),
-    )
+    );
+    let telemetry = Telemetry::new(clock);
+    telemetry.enable_spans();
+    vm.attach_telemetry(&telemetry);
+    (vm, telemetry)
 }
 
 /// A parsed CLI invocation.
@@ -92,7 +96,8 @@ pub enum CliCommand {
     /// Chrome trace-event file loadable in Perfetto / `chrome://tracing`.
     Trace {
         /// What to run: `timeline` (a hand-sized fault sequence printed
-        /// as text) or `pmbench` (the microbenchmark, exported as JSON).
+        /// as the plain-text span timeline) or `pmbench` (the
+        /// microbenchmark, exported as Chrome trace JSON).
         scenario: String,
         /// Which FluidMem configuration to trace.
         backend: BackendKind,
@@ -406,25 +411,19 @@ pub fn execute(command: CliCommand) {
         } => match scenario.as_str() {
             "timeline" => {
                 let clock = SimClock::new();
-                let mut vm = traced_fluidmem(backend, 2, clock, seed);
-                vm.monitor_mut().enable_tracing();
+                let (mut vm, telemetry) = traced_fluidmem(backend, 2, clock, seed);
                 let region = vm.map_region(8, PageClass::Anonymous);
                 for i in 0..4 {
                     vm.access(region.page(i), true);
                 }
                 vm.drain_writes();
                 vm.access(region.page(0), false);
-                for event in vm.monitor().tracer().events() {
-                    println!("{event}");
-                }
+                print!("{}", telemetry.export_timeline());
             }
             "pmbench" => {
                 let clock = SimClock::new();
                 let local_pages = 512;
-                let mut vm = traced_fluidmem(backend, local_pages, clock, seed);
-                let telemetry = Telemetry::new(vm.clock().clone());
-                telemetry.enable_spans();
-                vm.attach_telemetry(&telemetry);
+                let (mut vm, telemetry) = traced_fluidmem(backend, local_pages, clock, seed);
                 let config = PmbenchConfig {
                     wss_pages: local_pages * 2,
                     duration: SimDuration::from_secs(1),

@@ -6,6 +6,7 @@
 use fluidmem::coord::PartitionId;
 use fluidmem::core::{FluidMemMemory, MonitorConfig};
 use fluidmem::kv::RamCloudStore;
+use fluidmem::mem::{MemoryBackend, PageClass};
 use fluidmem::sim::{SimClock, SimDuration, SimRng};
 use fluidmem::telemetry::{consts, validate_chrome_trace, SpanRecord, Telemetry};
 use fluidmem::workloads::pmbench::{self, PmbenchConfig};
@@ -119,5 +120,73 @@ fn fault_latency_histograms_populate_by_resolution() {
     assert!(
         snap.count > 0,
         "an over-capacity working set must produce remote reads"
+    );
+}
+
+/// Figure 2's blue path from spans alone, on the `fig2` scenario
+/// (capacity 2, write batch 2): each eviction is a `UFFD_REMAP` followed
+/// by its write-list push, the second push fills the batch and the
+/// multi-write flies on the kv track; the refault's read flight overlaps
+/// the eviction it makes room with and lands before `UFFD_COPY`.
+#[test]
+fn fig2_blue_path_is_in_the_spans() {
+    let clock = SimClock::new();
+    let store = RamCloudStore::new(1 << 26, clock.clone(), SimRng::seed_from_u64(1));
+    let mut vm = FluidMemMemory::new(
+        MonitorConfig::new(2).write_batch(2),
+        Box::new(store),
+        PartitionId::new(0),
+        clock.clone(),
+        SimRng::seed_from_u64(2),
+    );
+    let telemetry = Telemetry::new(clock);
+    telemetry.enable_spans();
+    vm.attach_telemetry(&telemetry);
+    let region = vm.map_region(8, PageClass::Anonymous);
+    for i in 0..4 {
+        vm.access(region.page(i), true);
+    }
+
+    let blue = ["UFFD_REMAP", "write_list_push", "kv.multi_write.flight"];
+    let records = telemetry.spans().records();
+    let path: Vec<&SpanRecord> = records
+        .iter()
+        .filter(|r| blue.contains(&r.name.as_str()))
+        .collect();
+    let names: Vec<&str> = path.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "UFFD_REMAP",
+            "write_list_push",
+            "UFFD_REMAP",
+            "write_list_push",
+            "kv.multi_write.flight",
+        ]
+    );
+    for pair in path.windows(2) {
+        assert!(pair[0].end <= pair[1].start, "{pair:?}");
+    }
+    assert_eq!(path[1].track, consts::TRACK_MONITOR);
+    assert_eq!(path[4].track, consts::TRACK_KV);
+
+    vm.drain_writes();
+    telemetry.spans().clear();
+    vm.access(region.page(0), false);
+    let records = telemetry.spans().records();
+    let one = |name: &str| -> &SpanRecord {
+        let mut found = records.iter().filter(|r| r.name == name);
+        let r = found.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(found.next().is_none(), "one {name} span expected");
+        r
+    };
+    let (flight, remap, copy) = (one("kv.read.flight"), one("UFFD_REMAP"), one("UFFD_COPY"));
+    assert!(
+        flight.start < remap.end && remap.start < flight.end,
+        "§V-B: the read flight must overlap the eviction"
+    );
+    assert!(
+        flight.end <= copy.start,
+        "UFFD_COPY installs the fetched page"
     );
 }
