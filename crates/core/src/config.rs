@@ -1,7 +1,7 @@
 //! Monitor configuration and cost models.
 
 use fluidmem_kv::RetryPolicy;
-use fluidmem_sim::{LatencyModel, SimDuration};
+use fluidmem_sim::{watermark, LatencyModel, SimDuration};
 
 use crate::tier::TierConfig;
 use crate::workingset::WorkingSetConfig;
@@ -108,8 +108,9 @@ pub enum PrefetchPolicy {
 /// watermark and evicts in batches — on its own virtual timeline, off
 /// the fault critical path — until headroom reaches the high watermark,
 /// mirroring `fluidmem-swap`'s `kswapd()`. An arriving fault only falls
-/// back to inline "direct reclaim" (`evict_while_full`, the analogue of
-/// `SwapBackend::ensure_frames`) when the evictor has fallen behind.
+/// back to inline "direct reclaim" (the same eviction on the fault
+/// clock, the analogue of `SwapBackend::ensure_frames`) when the
+/// evictor has fallen behind.
 ///
 /// Off by default, and a no-op without
 /// [`Optimizations::async_write`] (background batches stage onto the
@@ -166,17 +167,16 @@ impl ReclaimConfig {
         config
     }
 
-    /// The low watermark in pages for a given capacity: rounded up and
-    /// floored at 1, so small buffers still wake the evictor (the same
-    /// truncation bug `SwapConfig`'s watermarks had).
+    /// The low watermark in pages for a given capacity (see
+    /// [`fluidmem_sim::watermark`]).
     pub fn low_pages(&self, capacity: u64) -> u64 {
-        ((capacity as f64 * self.watermark_low).ceil() as u64).max(1)
+        watermark::low_pages(capacity, self.watermark_low)
     }
 
     /// The high watermark in pages: strictly above the low watermark so
     /// every wakeup makes progress.
     pub fn high_pages(&self, capacity: u64) -> u64 {
-        ((capacity as f64 * self.watermark_high).ceil() as u64).max(self.low_pages(capacity) + 1)
+        watermark::high_pages(capacity, self.watermark_low, self.watermark_high)
     }
 
     /// Checks the watermark fractions are ordered and sane.
@@ -185,22 +185,7 @@ impl ReclaimConfig {
     ///
     /// Panics unless `0 < watermark_low < watermark_high <= 1`.
     pub fn validate(&self) {
-        assert!(
-            self.watermark_low > 0.0,
-            "watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
-        );
+        watermark::validate("reclaim", self.watermark_low, self.watermark_high);
     }
 }
 

@@ -1,13 +1,22 @@
 //! The evictor and flusher stages: moving pages out of the local buffer
 //! and onto the write list, and flushing the write list to the store.
 //!
-//! These run *during* read flights on the pipelined path (§V-B: the
-//! eviction happens "at a time when the vCPU thread was already
-//! suspended"), and inline on the call-return path.
+//! There is one eviction routine, [`Monitor::evict_one`]: `UFFD_REMAP`
+//! the victim, start its TLB shootdown, offer it to the compressed tier,
+//! and push it onto the write list. It runs on one of two timelines
+//! ([`Timeline`]). On the fault clock it is the inline evictor (and, with
+//! background reclaim on, direct reclaim): its CPU lands on the fault
+//! path, which is §V-B's "at a time when the vCPU thread was already
+//! suspended" when a read is in flight. On the background evictor's
+//! private cursor (`monitor/reclaim.rs`) the same steps cost the fault
+//! path nothing. Spans are stamped at explicit instants on either
+//! timeline, on the track of the thread that owns it (`monitor` or
+//! `evictor`); only fault-clock evictions feed Table I's `UFFD_REMAP`
+//! row, which profiles the fault handler.
 
 use fluidmem_kv::KvError;
 use fluidmem_mem::{PageTable, PhysicalMemory};
-use fluidmem_sim::SimInstant;
+use fluidmem_sim::{SimClock, SimDuration, SimInstant};
 use fluidmem_telemetry::consts;
 use fluidmem_uffd::Userfaultfd;
 
@@ -15,27 +24,69 @@ use super::Monitor;
 use crate::config::EvictionMechanism;
 use crate::profile::CodePath;
 
+/// The timeline an eviction's CPU is charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::monitor) enum Timeline {
+    /// The shared clock the fault handler runs on: inline eviction and
+    /// direct reclaim.
+    Fault,
+    /// The background evictor's private cursor, which never moves the
+    /// shared clock.
+    Evictor(SimInstant),
+}
+
+impl Timeline {
+    /// Where this timeline has reached.
+    pub(in crate::monitor) fn now(self, clock: &SimClock) -> SimInstant {
+        match self {
+            Timeline::Fault => clock.now(),
+            Timeline::Evictor(t) => t,
+        }
+    }
+
+    /// The span track of the thread this timeline belongs to.
+    fn track(self) -> &'static str {
+        match self {
+            Timeline::Fault => consts::TRACK_MONITOR,
+            Timeline::Evictor(_) => consts::TRACK_EVICTOR,
+        }
+    }
+
+    /// Charges `cost` to this timeline and returns where it now stands.
+    pub(in crate::monitor) fn spend(&mut self, clock: &SimClock, cost: SimDuration) -> SimInstant {
+        match self {
+            Timeline::Fault => clock.advance(cost),
+            Timeline::Evictor(t) => {
+                *t += cost;
+                *t
+            }
+        }
+    }
+}
+
 impl Monitor {
-    /// Evicts while the buffer is at/over capacity ("triggered ... when
-    /// the number of pages reaches the configured maximum size and
-    /// another page fault arrives").
+    /// Evicts on the fault clock until `free` more pages fit under the
+    /// capacity (`resident + free <= capacity`): `free = 1` makes room
+    /// for a faulted page about to be inserted ("triggered ... when the
+    /// number of pages reaches the configured maximum size and another
+    /// page fault arrives"), `free = 0` brings the buffer back under
+    /// capacity after a resize or an insert.
     ///
-    /// Runs *before* the faulted page is inserted, so it compares with
-    /// `>=`: an at-capacity buffer makes room for the incoming page. The
-    /// capacity is intentionally not clamped to 1 — a zero-page quota
-    /// (capability-style revocation, §VI-E) must drain the buffer
+    /// The capacity is intentionally not clamped to 1 — a zero-page
+    /// quota (capability-style revocation, §VI-E) must drain the buffer
     /// completely rather than pinning one resident page forever.
-    pub(in crate::monitor) fn evict_while_full(
+    pub(in crate::monitor) fn make_room(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
+        free: u64,
     ) {
         // Background-first: give the watermark evictor a chance to have
-        // made (or make) room, so the inline loop below is a fallback.
+        // made (or make) room, so the loop below is a fallback.
         self.maybe_background_reclaim(uffd, pt, pm);
-        while self.lru.len() >= self.lru.capacity() {
-            if !self.evict_one(uffd, pt, pm) {
+        while self.lru.len() + free > self.lru.capacity() {
+            if !self.evict_one(uffd, pt, pm, &mut Timeline::Fault) {
                 break;
             }
             if self.reclaim_active() {
@@ -44,33 +95,25 @@ impl Monitor {
         }
     }
 
-    /// Evicts until the buffer is back under capacity (post-resize or
-    /// post-insert).
-    pub fn evict_to_capacity(
+    /// Evicts one page from the top of the LRU, charging its CPU to
+    /// `timeline`. Returns `false` if the buffer is empty.
+    ///
+    /// The page leaves the VM at once; the TLB shootdown handle and the
+    /// write-list `ready_at` are stamped from `timeline`, so the page
+    /// stays unflushable until its shootdown completes there.
+    pub(in crate::monitor) fn evict_one(
         &mut self,
         uffd: &mut Userfaultfd,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
-    ) {
-        self.maybe_background_reclaim(uffd, pt, pm);
-        while self.lru.over_capacity() {
-            if !self.evict_one(uffd, pt, pm) {
-                break;
-            }
-            if self.reclaim_active() {
-                self.stats.direct_reclaims.inc();
-            }
-        }
-    }
-
-    /// Pops the eviction victim and performs the bookkeeping that must
-    /// happen exactly once per eviction, shared by the inline and
-    /// background evictors.
-    pub(in crate::monitor) fn pop_victim_for_eviction(&mut self) -> Option<fluidmem_mem::Vpn> {
-        let victim = self.lru.pop_victim()?;
-        // Shadow entry at pop time, exactly once per eviction: the
-        // store write may fail and retry (or the flushed batch may
-        // be requeued), but the page leaves the LRU exactly here.
+        timeline: &mut Timeline,
+    ) -> bool {
+        let Some(victim) = self.lru.pop_victim() else {
+            return false;
+        };
+        // Shadow entry at pop time, exactly once per eviction: the store
+        // write may fail and retry (or the flushed batch may be
+        // requeued), but the page leaves the LRU exactly here.
         self.workingset.record_eviction(victim);
         // A prefetched page evicted before the guest ever touched it was
         // a wasted remote read; the emptiness check keeps the policy-off
@@ -80,74 +123,66 @@ impl Monitor {
         {
             self.stats.prefetch_wasted.inc();
         }
-        Some(victim)
-    }
-
-    /// Evicts one page from the top of the LRU. Returns `false` if the
-    /// buffer is empty.
-    fn evict_one(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-    ) -> bool {
-        let Some(victim) = self.pop_victim_for_eviction() else {
-            return false;
-        };
         let key = self.key(victim);
 
-        let t0 = self.clock.now();
-        let span = self
-            .telemetry
-            .begin_with(consts::TRACK_MONITOR, "UFFD_REMAP", || {
-                vec![("vpn", format!("{victim}"))]
-            });
-        let (contents, handle) = uffd
-            .remap(pt, pm, victim)
+        let t0 = timeline.now(&self.clock);
+        let (contents, handle, cpu) = uffd
+            .remap(pt, pm, victim, t0)
             .expect("LRU pages are mapped in the VM");
-        if self.config.eviction == EvictionMechanism::Remap {
-            // The cross-CPU TLB shootdown completes in the background.
-            self.telemetry.record_span(
-                consts::TRACK_KERNEL,
-                "tlb.shootdown",
-                t0,
-                handle.completes_at(),
-            );
-        }
+        timeline.spend(&self.clock, cpu);
         let ready_at = match self.config.eviction {
-            EvictionMechanism::Remap => handle.completes_at(),
+            EvictionMechanism::Remap => {
+                // The cross-CPU TLB shootdown completes in the background.
+                self.telemetry.record_span(
+                    consts::TRACK_KERNEL,
+                    "tlb.shootdown",
+                    t0,
+                    handle.completes_at(),
+                );
+                handle.completes_at()
+            }
             EvictionMechanism::Copy => {
                 // Zero-copy ablation: UFFD_COPY-style eviction copies the
                 // page out instead; no cross-CPU wait, but a 4 KB copy.
                 let copy_cost = uffd.costs().copy.sample(&mut self.rng);
-                self.clock.advance(copy_cost);
-                self.clock.now()
+                timeline.spend(&self.clock, copy_cost)
             }
         };
         if !self.config.optimizations.async_write
             && self.config.eviction == EvictionMechanism::Remap
         {
-            // Synchronous writes need the shootdown done before staging.
+            // Synchronous writes need the shootdown done before staging
+            // (only on the fault clock: reclaim requires async_write).
             uffd.wait_remap(handle);
         }
-        self.telemetry.end(span);
-        self.profile
-            .record(CodePath::UffdRemap, self.clock.now() - t0);
+        let t1 = timeline.now(&self.clock);
+        self.telemetry
+            .spans()
+            .record_at(timeline.track(), "UFFD_REMAP", t0, t1, || {
+                vec![("vpn", format!("{victim}"))]
+            });
+        if *timeline == Timeline::Fault {
+            self.profile.record(CodePath::UffdRemap, t1 - t0);
+        }
 
         self.stats.evictions.inc();
 
         if self.config.optimizations.async_write {
             // The compressed tier gets first refusal; only bypassed pages
-            // (tier off, thrash gate, incompressible) stage for writeback.
-            if let Some(contents) = self.tier_try_admit(key, contents, None) {
-                let span =
-                    self.telemetry
-                        .begin_with(consts::TRACK_MONITOR, "write_list_push", || {
-                            vec![("key", format!("{key}"))]
-                        });
-                self.charge(&self.config.costs.write_list_push.clone());
+            // (tier off, thrash gate, incompressible) stage for writeback,
+            // and stay stealable until the batch flush retires them.
+            if let Some(contents) = self.tier_try_admit(key, contents, timeline) {
+                let push = self.config.costs.write_list_push.sample(&mut self.rng);
+                let start = timeline.now(&self.clock);
+                let end = timeline.spend(&self.clock, push);
+                self.telemetry.spans().record_at(
+                    timeline.track(),
+                    "write_list_push",
+                    start,
+                    end,
+                    || vec![("key", format!("{key}"))],
+                );
                 self.write_list.push(key, contents, ready_at);
-                self.telemetry.end(span);
             }
         } else {
             self.charge(&self.config.costs.sync_write_staging.clone());

@@ -9,8 +9,11 @@
 //!   (intake, coalescing, first touch, write-list steal, tier promote,
 //!   prefetch adoption, the read issue) and a finish stage (the write
 //!   wait or read bottom half, placement, wakes, post-wake work).
-//! * `evict` — the evictor: `UFFD_REMAP` eviction, write-list flushes,
-//!   and the shutdown drain.
+//! * `evict` — the evictor: the one `UFFD_REMAP` eviction routine,
+//!   charged to the fault clock or the background evictor's cursor,
+//!   plus write-list flushes and the shutdown drain.
+//! * `reclaim` — the watermark-driven background evictor, which runs
+//!   that routine on its own timeline.
 //! * `pipeline` — the in-flight table and the pipelined driver
 //!   ([`Monitor::submit_fault`] / [`Monitor::complete_next`]) that parks
 //!   up to [`MonitorConfig::max_inflight`] faults between the two stages
@@ -44,6 +47,7 @@ use crate::workingset::WorkingSetEstimator;
 use crate::write_list::WriteList;
 use fluidmem_telemetry::{consts, Gauge, Histogram, SpanId, Telemetry};
 
+use evict::Timeline;
 use pipeline::InflightTable;
 use stages::FaultStart;
 
@@ -470,7 +474,7 @@ impl Monitor {
     }
 
     /// Applies a pending adaptive-capacity decision; a no-op in passive
-    /// mode. The caller's following `evict_to_capacity` performs any
+    /// mode. The caller's following `make_room` performs any
     /// shrink this sets up.
     pub(in crate::monitor) fn maybe_adapt(&mut self) {
         let Some(target) = self
@@ -580,15 +584,14 @@ impl Monitor {
     /// `reject_compress_poor` bypass — a full page of pool for zero win
     /// is worse than going remote).
     ///
-    /// `background` carries the background evictor's private timeline
-    /// when admission happens off the fault path; CPU costs (the
-    /// compression attempt, demotion write-list pushes) are charged
-    /// there instead of the caller's clock.
+    /// CPU costs (the compression attempt, demotion write-list pushes)
+    /// are charged to `timeline`: the fault clock inline, the evictor's
+    /// cursor off the fault path.
     pub(in crate::monitor) fn tier_try_admit(
         &mut self,
         key: ExternalKey,
         contents: fluidmem_mem::PageContents,
-        mut background: Option<&mut SimInstant>,
+        timeline: &mut Timeline,
     ) -> Option<fluidmem_mem::PageContents> {
         if !self.tier_active() {
             return Some(contents);
@@ -609,12 +612,7 @@ impl Monitor {
         // discovered: its CPU cost is charged whether or not the page
         // admits (zram's reject path, satellite fix #2).
         let cost = self.config.tier.compress.sample(&mut self.rng);
-        match background.as_deref_mut() {
-            Some(t) => *t += cost,
-            None => {
-                self.clock.advance(cost);
-            }
-        }
+        timeline.spend(&self.clock, cost);
         let compressed = fluidmem_kv::stored_page_size(&contents)
             .filter(|&bytes| bytes <= self.config.tier.max_bytes);
         let Some(bytes) = compressed else {
@@ -627,7 +625,7 @@ impl Monitor {
         // down to the low mark, not one page per admission.
         if self.tier.bytes() > self.config.tier.high_bytes() {
             let target = self.config.tier.low_bytes();
-            self.tier_demote_excess(target, background);
+            self.tier_demote_excess(target, timeline);
         }
         None
     }
@@ -638,23 +636,14 @@ impl Monitor {
     pub(in crate::monitor) fn tier_demote_excess(
         &mut self,
         target_bytes: usize,
-        mut background: Option<&mut SimInstant>,
+        timeline: &mut Timeline,
     ) {
         while self.tier.bytes() > target_bytes {
             let Some((key, contents)) = self.tier.pop_oldest() else {
                 break;
             };
             let push = self.config.costs.write_list_push.sample(&mut self.rng);
-            let ready_at = match background.as_deref_mut() {
-                Some(t) => {
-                    *t += push;
-                    *t
-                }
-                None => {
-                    self.clock.advance(push);
-                    self.clock.now()
-                }
-            };
+            let ready_at = timeline.spend(&self.clock, push);
             self.write_list.push(key, contents, ready_at);
             self.stats.tier_demotions.inc();
         }
@@ -695,7 +684,7 @@ impl Monitor {
             return;
         }
         if self.tier.bytes() > self.config.tier.max_bytes {
-            self.tier_demote_excess(self.config.tier.low_bytes(), None);
+            self.tier_demote_excess(self.config.tier.low_bytes(), &mut Timeline::Fault);
             self.maybe_flush();
         }
         self.update_gauges();
@@ -767,10 +756,9 @@ impl Monitor {
     /// Resizes the local buffer (the §VI-E capability swap lacks),
     /// evicting down to the new capacity on the spot.
     ///
-    /// With background reclaim active, the shrink work is routed through
-    /// the background evictor: capacity retargets (e.g. from the host
-    /// arbiter) wake it and it evicts batch-wise on its own timeline
-    /// instead of inline on the caller's.
+    /// With background reclaim active, a shrink leaves headroom at 0, so
+    /// the evictor preempts and drains the excess batch by batch on its
+    /// own timeline; only what it cannot evict falls to the fault clock.
     pub fn resize(
         &mut self,
         uffd: &mut Userfaultfd,
@@ -780,21 +768,7 @@ impl Monitor {
     ) {
         self.lru.set_capacity(capacity);
         self.stats.resizes.inc();
-        if self.reclaim_active() {
-            // A shrink leaves headroom at 0 (below any low watermark), so
-            // the evictor runs batch after batch until the buffer is back
-            // under capacity — or nothing is evictable (it went to sleep
-            // without making progress).
-            while self.lru.over_capacity() {
-                let before = self.lru.len();
-                self.maybe_background_reclaim(uffd, pt, pm);
-                if self.lru.len() == before {
-                    break;
-                }
-            }
-        } else {
-            self.evict_to_capacity(uffd, pt, pm);
-        }
+        self.make_room(uffd, pt, pm, 0);
         self.maybe_flush();
         self.update_gauges();
     }

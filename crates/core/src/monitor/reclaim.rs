@@ -2,26 +2,29 @@
 //!
 //! FluidMem's real monitor is multi-threaded: a dedicated evictor keeps
 //! the LRU below capacity while fault handlers block in store reads.
-//! Inline eviction (`evict_while_full` on the fault path) serializes
+//! Inline eviction (the `make_room` loop on the fault path) serializes
 //! that work onto the fault handler's timeline instead — every fault at
 //! a full buffer pays `UFFD_REMAP` CPU plus write-list staging before
 //! its read can complete. This module models the evictor as its own
 //! virtual thread, exactly like `fluidmem-swap`'s `kswapd()` models the
-//! kernel's:
+//! kernel's. It has no eviction routine of its own: it runs the one
+//! [`Monitor::evict_one`] on a different [`Timeline`].
 //!
 //! * **Watermarks.** The evictor watches free headroom
 //!   (`capacity − resident`). It wakes when headroom drops below the
 //!   low watermark and stays awake — evicting in batches — until
 //!   headroom reaches the high watermark or nothing is evictable, then
 //!   sleeps.
-//! * **A private timeline.** Background eviction performs its state
+//! * **A private timeline.** Background evictions perform their state
 //!   changes (page-table unmap, frame free, write-list staging)
-//!   immediately but accounts the CPU it spends on a private cursor
-//!   that never advances the shared clock: the work happens *while
-//!   vCPUs are suspended on read flights*, which is precisely the §V-B
-//!   window the paper hides eviction in. The TLB-shootdown handle and
-//!   the write-list `ready_at` are stamped from that cursor, so the
-//!   pages stay unflushable until their shootdowns genuinely complete.
+//!   immediately but charge their CPU to [`Timeline::Evictor`], a
+//!   cursor that never advances the shared clock: the work happens
+//!   *while vCPUs are suspended on read flights*, which is precisely
+//!   the §V-B window the paper hides eviction in. The TLB-shootdown
+//!   handle and the write-list `ready_at` are stamped from that
+//!   cursor, so the pages stay unflushable until their shootdowns
+//!   genuinely complete. Each activation is a `reclaim` span on the
+//!   `evictor` track, its evictions' spans inside it.
 //! * **Deterministic scheduling.** When faults are parked in the
 //!   in-flight table, an activation is enqueued on the same
 //!   [`EventQueue`](fluidmem_sim::EventQueue) that orders fault
@@ -29,8 +32,8 @@
 //!   with nothing in flight the activation runs on the spot. Either
 //!   way the schedule is a pure function of the seed.
 //! * **Direct reclaim as fallback.** If the evictor falls behind and a
-//!   fault still finds the buffer full, the inline path evicts as
-//!   before — counted as `direct_reclaim`, the analogue of
+//!   fault still finds the buffer full, `make_room` runs `evict_one` on
+//!   the fault clock — counted as `direct_reclaim`, the analogue of
 //!   `SwapBackend::ensure_frames`.
 //!
 //! Everything here is gated on [`Monitor::reclaim_active`]: with the
@@ -42,8 +45,8 @@ use fluidmem_sim::SimInstant;
 use fluidmem_telemetry::consts;
 use fluidmem_uffd::Userfaultfd;
 
+use super::evict::Timeline;
 use super::Monitor;
-use crate::config::EvictionMechanism;
 
 /// The background evictor's thread state.
 #[derive(Debug)]
@@ -171,72 +174,27 @@ impl Monitor {
     ) {
         let high = self.config.reclaim.high_pages(self.lru.capacity());
         let start = self.reclaim.cursor.max(self.clock.now());
-        let mut thread_now = start;
+        let mut timeline = Timeline::Evictor(start);
         let mut evicted = 0usize;
         while evicted < self.config.reclaim.batch && self.headroom() < high {
-            if !self.evict_one_background(uffd, pt, pm, &mut thread_now) {
+            if !self.evict_one(uffd, pt, pm, &mut timeline) {
                 // Nothing evictable: sleep rather than spin awake.
                 self.reclaim.awake = false;
                 break;
             }
+            self.stats.background_reclaims.inc();
             evicted += 1;
         }
         if self.headroom() >= high {
             self.reclaim.awake = false;
         }
         if evicted > 0 {
+            let end = timeline.now(&self.clock);
             self.telemetry
-                .record_span(consts::TRACK_MONITOR, "reclaim", start, thread_now);
-            self.reclaim.cursor = thread_now;
+                .record_span(consts::TRACK_EVICTOR, "reclaim", start, end);
+            self.reclaim.cursor = end;
             self.maybe_flush();
             self.update_gauges();
         }
-    }
-
-    /// Evicts one page on the evictor's timeline: the state changes
-    /// happen now, the CPU lands on `thread_now`, and the shootdown
-    /// handle completes relative to the evictor, not the fault path.
-    fn evict_one_background(
-        &mut self,
-        uffd: &mut Userfaultfd,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        thread_now: &mut SimInstant,
-    ) -> bool {
-        let Some(victim) = self.pop_victim_for_eviction() else {
-            return false;
-        };
-        let key = self.key(victim);
-        let t0 = *thread_now;
-        let (contents, handle, cpu) = uffd
-            .remap_detached(pt, pm, victim, t0)
-            .expect("LRU pages are mapped in the VM");
-        *thread_now = t0 + cpu;
-        if self.config.eviction == EvictionMechanism::Remap {
-            self.telemetry.record_span(
-                consts::TRACK_KERNEL,
-                "tlb.shootdown",
-                t0,
-                handle.completes_at(),
-            );
-        }
-        let ready_at = match self.config.eviction {
-            EvictionMechanism::Remap => handle.completes_at(),
-            EvictionMechanism::Copy => {
-                *thread_now += uffd.costs().copy.sample(&mut self.rng);
-                *thread_now
-            }
-        };
-        self.stats.evictions.inc();
-        self.stats.background_reclaims.inc();
-        // The compressed tier gets first refusal, with its CPU charged to
-        // the evictor's own timeline. Bypassed pages stage onto the write
-        // list as before — reclaim_active implies async_write — and stay
-        // stealable until the batch flush retires them.
-        if let Some(contents) = self.tier_try_admit(key, contents, Some(thread_now)) {
-            *thread_now += self.config.costs.write_list_push.sample(&mut self.rng);
-            self.write_list.push(key, contents, ready_at);
-        }
-        true
     }
 }

@@ -162,7 +162,7 @@ impl Monitor {
             StealOutcome::Stolen(contents) => {
                 self.stats.write_list_steals.inc();
                 // Make room (the page is coming back in).
-                self.evict_while_full(uffd, pt, pm);
+                self.make_room(uffd, pt, pm, 1);
                 (contents, Resolution::WriteListSteal)
             }
             StealOutcome::WaitInflight { until, contents } => {
@@ -174,7 +174,7 @@ impl Monitor {
             StealOutcome::Miss => match self.tier_try_promote(key) {
                 Some(contents) => {
                     // Make room (the page is coming back in).
-                    self.evict_while_full(uffd, pt, pm);
+                    self.make_room(uffd, pt, pm, 1);
                     (contents, Resolution::CompressedHit)
                 }
                 None => {
@@ -294,7 +294,7 @@ impl Monitor {
         self.stats.zero_fills.inc();
 
         // Asynchronous (post-wake) eviction — the blue path of Figure 2.
-        self.evict_to_capacity(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 0);
         self.maybe_flush();
         FaultResolution {
             resolution: Resolution::ZeroFill,
@@ -325,7 +325,7 @@ impl Monitor {
         self.clock.advance_to(until);
         self.write_list.retire(self.clock.now());
         self.stats.inflight_waits.inc();
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
     }
 
     /// Issues the asynchronous read's top half (§V-B) and runs the work
@@ -351,7 +351,7 @@ impl Monitor {
             pending.completes_at(),
         );
 
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
         self.bookkeeping_update_cache();
         ReadFlight {
             t0,
@@ -442,7 +442,7 @@ impl Monitor {
         // too: the refault insert may have pushed the buffer over budget
         // with no later fault guaranteed to correct it. A no-op whenever
         // the buffer is within capacity.
-        self.evict_to_capacity(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 0);
         // Post-wake proactive work: prefetch successors of the faulting
         // page (overlapping asynchronous reads), then flush.
         self.maybe_prefetch(uffd, pt, pm, vpn);
@@ -480,7 +480,7 @@ impl Monitor {
             PrefetchPolicy::Sequential { window } => {
                 // Issue is capped at current headroom: a page past the
                 // cap would only be re-evicted by the trailing
-                // `evict_to_capacity` — a wasted remote read that can
+                // `make_room` — a wasted remote read that can
                 // push warm pages out on its way through.
                 let cap = self.headroom();
                 for i in 1..=window {
@@ -583,7 +583,7 @@ impl Monitor {
             self.note_prefetch_result(uffd, pt, pm, candidate, issued_at, result);
         }
         self.prefetch_buf = pendings;
-        self.evict_to_capacity(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 0);
     }
 
     /// Whether a page may be speculatively fetched: evicted-but-seen, in
@@ -703,7 +703,7 @@ impl Monitor {
         self.stats.prefetch_hits.inc();
         self.prefetch_timeliness
             .observe(t0.saturating_since(flight.pending.issued_at()));
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
         self.bookkeeping_update_cache();
         ReadFlight {
             t0,
@@ -730,7 +730,7 @@ impl Monitor {
         self.profile
             .record(CodePath::ReadPage, self.clock.now() - t0);
 
-        self.evict_while_full(uffd, pt, pm);
+        self.make_room(uffd, pt, pm, 1);
         self.bookkeeping_update_cache();
         contents
     }

@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 
 use fluidmem_kv::ExternalKey;
 use fluidmem_mem::PageContents;
-use fluidmem_sim::LatencyModel;
+use fluidmem_sim::{watermark, LatencyModel};
 
 /// Configuration of the compressed local tier.
 ///
@@ -133,22 +133,7 @@ impl TierConfig {
             self.expected_page_bytes > 0,
             "tier expected_page_bytes must be positive"
         );
-        assert!(
-            self.watermark_low > 0.0,
-            "tier watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "tier watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "tier watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
-        );
+        watermark::validate("tier", self.watermark_low, self.watermark_high);
     }
 }
 

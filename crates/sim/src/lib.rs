@@ -21,6 +21,8 @@
 //! * [`LatencyModel`] — composable latency distributions (constant, uniform,
 //!   normal, log-normal, spiked) used to calibrate component costs to the
 //!   paper's Table I/II measurements.
+//! * [`watermark`] — the low/high reclaim thresholds every reclaimer
+//!   shares.
 //! * [`stats`] — streaming summaries, percentile samples, log-spaced latency
 //!   histograms (for the paper's Figure 3 CDFs), and harmonic means (for the
 //!   Graph500 TEPS metric of Figure 4).
@@ -52,6 +54,7 @@ mod rng;
 mod series;
 pub mod stats;
 mod time;
+pub mod watermark;
 
 pub use clock::SimClock;
 pub use dist::LatencyModel;

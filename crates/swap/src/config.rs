@@ -1,6 +1,6 @@
 //! Swap-subsystem tunables and cost models.
 
-use fluidmem_sim::LatencyModel;
+use fluidmem_sim::{watermark, LatencyModel};
 
 /// The virtio disk caching mode (libvirt `cache=` attribute).
 ///
@@ -126,19 +126,16 @@ impl SwapConfig {
     }
 
     /// The low watermark in pages: kswapd wakes when free frames drop
-    /// below this. Rounded *up* and floored at 1 — truncation used to
-    /// yield 0 for small `dram_pages`, so kswapd never woke and every
-    /// reclaim ran on the fault path.
+    /// below this (see [`fluidmem_sim::watermark`]).
     pub fn low_watermark_pages(&self) -> u64 {
-        ((self.dram_pages as f64 * self.watermark_low).ceil() as u64).max(1)
+        watermark::low_pages(self.dram_pages, self.watermark_low)
     }
 
     /// The high watermark in pages: kswapd reclaims until free frames
     /// reach this. Always strictly above the low watermark so a wakeup
     /// makes progress.
     pub fn high_watermark_pages(&self) -> u64 {
-        ((self.dram_pages as f64 * self.watermark_high).ceil() as u64)
-            .max(self.low_watermark_pages() + 1)
+        watermark::high_pages(self.dram_pages, self.watermark_low, self.watermark_high)
     }
 
     /// Checks the watermark fractions are ordered and sane, and the
@@ -155,22 +152,7 @@ impl SwapConfig {
             self.page_cluster,
             Self::MAX_PAGE_CLUSTER
         );
-        assert!(
-            self.watermark_low > 0.0,
-            "watermark_low must be positive (got {})",
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high > self.watermark_low,
-            "watermark_high ({}) must exceed watermark_low ({})",
-            self.watermark_high,
-            self.watermark_low
-        );
-        assert!(
-            self.watermark_high <= 1.0,
-            "watermark_high must be at most 1.0 (got {})",
-            self.watermark_high
-        );
+        watermark::validate("swap", self.watermark_low, self.watermark_high);
     }
 }
 

@@ -166,6 +166,9 @@ pub const TRACK_KERNEL: &str = "kernel";
 pub const TRACK_HOST: &str = "host";
 /// Span track for the cluster layer (migration copier batches).
 pub const TRACK_CLUSTER: &str = "cluster";
+/// Span track for the monitor's background evictor thread (watermark
+/// reclaim), which runs beside the fault-handling thread.
+pub const TRACK_EVICTOR: &str = "evictor";
 
 /// Stable Chrome-trace thread ids per track, in display order. Unlisted
 /// tracks are assigned ids after these, in first-use order.

@@ -11,8 +11,8 @@ use crate::{RegionId, UffdCosts, UffdError, UffdEvent};
 
 /// An in-flight `UFFD_REMAP` TLB shootdown.
 ///
-/// The page-table rewrite happens synchronously (its CPU cost is charged
-/// when [`Userfaultfd::remap`] returns), but the interprocessor interrupts
+/// The page-table rewrite happens synchronously (the caller charges the
+/// CPU time [`Userfaultfd::remap`] returns), but the interprocessor interrupts
 /// that flush stale TLB entries complete asynchronously. The monitor must
 /// [`wait`](Userfaultfd::wait_remap) on the handle before the evicted
 /// page's buffer may be handed to the key-value store — and the paper's
@@ -265,9 +265,17 @@ impl Userfaultfd {
     }
 
     /// The proposed `UFFD_REMAP`: moves the page at `vpn` out of the VM by
-    /// rewriting page-table entries (no copy), returning its contents and
-    /// a [`RemapHandle`] for the TLB shootdown that completes
-    /// asynchronously. The frame is returned to the host allocator.
+    /// rewriting page-table entries (no copy), returning its contents, a
+    /// [`RemapHandle`] for the TLB shootdown that completes
+    /// asynchronously, and the CPU time the rewrite took. The frame is
+    /// returned to the host allocator.
+    ///
+    /// The page-table and frame changes happen immediately, but no clock
+    /// moves: the caller charges the returned CPU time to the timeline
+    /// the remap runs on, which starts at `at`. That is the shared clock
+    /// for an eviction on the fault path and a private cursor for a
+    /// background evictor thread. The shootdown completes at
+    /// `at + cpu + shootdown`.
     ///
     /// Zero-page mappings are "moved" as [`PageContents::Zero`] without
     /// freeing anything (the zero page is shared).
@@ -276,28 +284,6 @@ impl Userfaultfd {
     ///
     /// Fails if `vpn` is unregistered or has no mapping.
     pub fn remap(
-        &mut self,
-        pt: &mut PageTable,
-        pm: &mut PhysicalMemory,
-        vpn: Vpn,
-    ) -> Result<(PageContents, RemapHandle), UffdError> {
-        let at = self.clock.now();
-        let (contents, handle, cpu) = self.remap_detached(pt, pm, vpn, at)?;
-        self.clock.advance(cpu);
-        Ok((contents, handle))
-    }
-
-    /// [`Userfaultfd::remap`] for a caller running on its *own* virtual
-    /// timeline (a background evictor thread): performs the page-table
-    /// and frame state changes immediately but does **not** advance the
-    /// shared clock. Costs are sampled as usual; the caller accounts the
-    /// returned CPU time on its private timeline, and the shootdown
-    /// handle completes at `at + cpu + shootdown`.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `vpn` is unregistered or has no mapping.
-    pub fn remap_detached(
         &mut self,
         pt: &mut PageTable,
         pm: &mut PhysicalMemory,
@@ -497,7 +483,8 @@ mod tests {
         uffd.copy(&mut pt, &mut pm, vpn, PageContents::Token(0xAA))
             .unwrap();
         let free_before = pm.free_frames();
-        let (contents, handle) = uffd.remap(&mut pt, &mut pm, vpn).unwrap();
+        let now = uffd.clock.now();
+        let (contents, handle, _) = uffd.remap(&mut pt, &mut pm, vpn, now).unwrap();
         assert_eq!(contents, PageContents::Token(0xAA));
         assert!(pt.get(vpn).is_none(), "page must leave the VM");
         assert_eq!(pm.free_frames(), free_before + 1);
@@ -512,7 +499,8 @@ mod tests {
         let (mut uffd, mut pt, mut pm, region) = setup();
         let vpn = region.page(4).vpn();
         uffd.zeropage(&mut pt, vpn).unwrap();
-        let (contents, handle) = uffd.remap(&mut pt, &mut pm, vpn).unwrap();
+        let now = uffd.clock.now();
+        let (contents, handle, _) = uffd.remap(&mut pt, &mut pm, vpn, now).unwrap();
         assert_eq!(contents, PageContents::Zero);
         uffd.wait_remap(handle);
         assert_eq!(pm.free_frames(), 128);
@@ -523,7 +511,8 @@ mod tests {
         let (mut uffd, mut pt, mut pm, region) = setup();
         let vpn = region.page(5).vpn();
         assert_eq!(
-            uffd.remap(&mut pt, &mut pm, vpn).map(|_| ()),
+            uffd.remap(&mut pt, &mut pm, vpn, SimInstant::EPOCH)
+                .map(|_| ()),
             Err(UffdError::NotMapped(vpn))
         );
     }
@@ -614,7 +603,9 @@ mod tests {
         let vpn = region.page(7).vpn();
         uffd.copy(&mut pt, &mut pm, vpn, PageContents::Token(1))
             .unwrap();
-        let (_, handle) = uffd.remap(&mut pt, &mut pm, vpn).unwrap();
+        let now = uffd.clock.now();
+        let (_, handle, cpu) = uffd.remap(&mut pt, &mut pm, vpn, now).unwrap();
+        uffd.clock.advance(cpu);
         // Simulate a 100µs network read overlapping the shootdown.
         uffd.clock.advance(SimDuration::from_micros(100));
         assert!(uffd.wait_remap(handle).is_zero());

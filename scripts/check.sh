@@ -36,8 +36,14 @@ rm -f "$results_out"
 
 echo "==> telemetry smoke: fluidmem trace --scenario pmbench, --scenario timeline (twice)"
 trace_file="$(mktemp)"
-cargo run -q --bin fluidmem -- trace --scenario pmbench --out "$trace_file" > /dev/null
+trace_summary="$(cargo run -q --bin fluidmem -- trace --scenario pmbench --out "$trace_file")"
 test -s "$trace_file" || { echo "telemetry smoke: empty trace" >&2; exit 1; }
+# The span ring keeps only the newest records; the summary must say how
+# many older ones the file is missing.
+echo "$trace_summary" | grep -Eq ': 20000 accesses traced, .*; [0-9]+ older spans dropped$' || {
+    echo "telemetry smoke: summary does not report dropped spans: $trace_summary" >&2
+    exit 1
+}
 # The red path's read flight and the blue path's enqueue and batched flush.
 for span in kv.read.flight write_list_push kv.multi_write.flight; do
     grep -q "\"$span\"" "$trace_file" || {
@@ -167,7 +173,7 @@ if grep '"bench":"scaling_cluster"' "$cluster_json_a" | grep -qv '"duplicated_pa
 fi
 rm -f "$cluster_out_a" "$cluster_out_b" "$cluster_json_a" "$cluster_json_b"
 
-echo "==> pipeline smoke: depth sweep (twice, stdout + JSON must be byte-identical)"
+echo "==> pipeline smoke: depth sweep (twice, stdout + JSON must be byte-identical, stdout must match results/)"
 pipe_out_a="$(mktemp)"
 pipe_out_b="$(mktemp)"
 pipe_json_a="$(mktemp)"
@@ -181,6 +187,12 @@ cmp "$pipe_out_a" "$pipe_out_b" || {
 }
 cmp "$pipe_json_a" "$pipe_json_b" || {
     echo "pipeline smoke: JSON output not deterministic" >&2
+    exit 1
+}
+# The background-reclaim rows run the evictor: pin the whole table.
+cmp "$pipe_out_a" results/pipeline-smoke.txt || {
+    echo "pipeline smoke: stdout differs from results/pipeline-smoke.txt" >&2
+    diff results/pipeline-smoke.txt "$pipe_out_a" | head -20 >&2
     exit 1
 }
 grep -q '"depth":16' "$pipe_json_a" || {
@@ -228,7 +240,7 @@ grep -q '"bench":"workingset"' "$ws_json_a" || {
 }
 rm -f "$ws_out_a" "$ws_out_b" "$ws_json_a" "$ws_json_b"
 
-echo "==> tiering smoke: compressibility sweep (twice, stdout + JSON must be byte-identical)"
+echo "==> tiering smoke: compressibility sweep (twice, stdout + JSON must be byte-identical, stdout must match results/)"
 tier_out_a="$(mktemp)"
 tier_out_b="$(mktemp)"
 tier_json_a="$(mktemp)"
@@ -242,6 +254,12 @@ cmp "$tier_out_a" "$tier_out_b" || {
 }
 cmp "$tier_json_a" "$tier_json_b" || {
     echo "tiering smoke: JSON output not deterministic" >&2
+    exit 1
+}
+# Tier admission and demotion run inside the evictor: pin the whole table.
+cmp "$tier_out_a" results/tiering-smoke.txt || {
+    echo "tiering smoke: stdout differs from results/tiering-smoke.txt" >&2
+    diff results/tiering-smoke.txt "$tier_out_a" | head -20 >&2
     exit 1
 }
 grep -q '"bench":"tiering"' "$tier_json_a" || {

@@ -440,11 +440,15 @@ pub fn execute(command: CliCommand) {
                     eprintln!("error: cannot write {path}: {e}");
                     std::process::exit(1);
                 }
+                // The span ring keeps only the newest records: say how
+                // many older ones fell out rather than imply the file
+                // covers the whole run.
                 println!(
-                    "{}: {} accesses traced, avg {:.2}\u{b5}s; {events} spans -> {path}",
+                    "{}: {} accesses traced, avg {:.2}\u{b5}s; {events} spans -> {path}; {} older spans dropped",
                     backend.label(),
                     report.accesses,
                     report.avg_latency_us(),
+                    telemetry.spans().dropped(),
                 );
                 println!("open in https://ui.perfetto.dev or chrome://tracing");
             }

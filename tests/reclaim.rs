@@ -18,11 +18,13 @@
 //!   accounting balances, and the write list drains.
 
 use fluidmem::coord::PartitionId;
-use fluidmem::core::{FluidMemMemory, MonitorConfig, Optimizations, PipelineSubmit, ReclaimConfig};
+use fluidmem::core::{
+    CodePath, FluidMemMemory, MonitorConfig, Optimizations, PipelineSubmit, ReclaimConfig,
+};
 use fluidmem::kv::{FaultInjectingStore, RamCloudStore};
 use fluidmem::mem::{AccessOutcome, MemoryBackend, PageClass, PageContents};
 use fluidmem::sim::{FaultPlan, SimClock, SimInstant, SimRng};
-use fluidmem::telemetry::Telemetry;
+use fluidmem::telemetry::{consts, Telemetry};
 use fluidmem::vm::VcpuSet;
 
 const SEEDS: [u64; 4] = [3, 17, 271, 65_537];
@@ -144,6 +146,94 @@ fn depth_one_pipeline_matches_call_return_with_reclaim_enabled() {
         assert!(
             sync.3.contains("\"reclaim\""),
             "seed {seed}: reclaim activations must be visible in the trace"
+        );
+    }
+}
+
+/// The span names on `track` in an `export_timeline` dump, each with
+/// the names of the spans on that track it is indented under.
+fn track_lines_with_ancestors(timeline: &str, track: &str) -> Vec<(String, Vec<String>)> {
+    let prefix = format!("{track:<7} ");
+    let mut open: Vec<(usize, String)> = Vec::new();
+    let mut out = Vec::new();
+    for line in timeline.lines() {
+        let rest = &line[line.find("] ").expect("timestamp") + 2..];
+        let Some(rest) = rest.strip_prefix(prefix.as_str()) else {
+            continue;
+        };
+        let name = rest.trim_start().split(' ').next().unwrap().to_string();
+        let indent = rest.len() - rest.trim_start().len();
+        open.retain(|(depth, _)| *depth < indent);
+        out.push((name.clone(), open.iter().map(|(_, n)| n.clone()).collect()));
+        open.push((indent, name));
+    }
+    out
+}
+
+/// Background evictions run the inline evictor's steps, so they leave
+/// the same spans: one `UFFD_REMAP` and one `tlb.shootdown` per
+/// eviction, a `write_list_push` per page not absorbed by the tier, all
+/// inside the `reclaim` activation that evicted them on the evictor's
+/// own track.
+#[test]
+fn background_evictions_record_the_eviction_spans() {
+    let clock = SimClock::new();
+    let store = RamCloudStore::new(1 << 28, clock.clone(), SimRng::seed_from_u64(9));
+    let mut vm = FluidMemMemory::new(
+        MonitorConfig::new(256)
+            .optimizations(Optimizations::full())
+            .reclaim(ReclaimConfig::kswapd()),
+        Box::new(store),
+        PartitionId::new(0),
+        clock.clone(),
+        SimRng::seed_from_u64(9),
+    );
+    let telemetry = Telemetry::new(clock);
+    telemetry.enable_spans();
+    vm.attach_telemetry(&telemetry);
+    let region = vm.map_region(1024, PageClass::Anonymous);
+    for page in 0..1024 {
+        vm.access(region.page(page), true);
+    }
+    let stats = vm.monitor().stats();
+    assert_eq!(telemetry.spans().dropped(), 0, "the ring must hold the run");
+    assert!(stats.evictions > 0);
+    assert_eq!(
+        stats.background_reclaims, stats.evictions,
+        "at default watermarks the evictor does all the evicting"
+    );
+
+    let records = telemetry.spans().records();
+    let count = |name: &str| records.iter().filter(|r| r.name == name).count() as u64;
+    assert_eq!(count("UFFD_REMAP"), stats.evictions);
+    assert_eq!(count("tlb.shootdown"), stats.evictions);
+    assert_eq!(
+        count("write_list_push"),
+        stats.evictions - stats.tier_admits
+    );
+    // Table I profiles the fault handler: off-path evictions stay out.
+    assert_eq!(vm.monitor().profile().stats(CodePath::UffdRemap).count, 0);
+
+    let reclaims: Vec<_> = records.iter().filter(|r| r.name == "reclaim").collect();
+    for shootdown in records.iter().filter(|r| r.name == "tlb.shootdown") {
+        assert!(
+            reclaims
+                .iter()
+                .any(|r| r.start <= shootdown.start && shootdown.start <= r.end),
+            "a shootdown at {} starts outside every reclaim activation",
+            shootdown.start
+        );
+    }
+    let lines = track_lines_with_ancestors(&telemetry.export_timeline(), consts::TRACK_EVICTOR);
+    for name in ["UFFD_REMAP", "write_list_push"] {
+        let under_reclaim = lines
+            .iter()
+            .filter(|(n, ancestors)| n == name && ancestors.iter().any(|a| a == "reclaim"))
+            .count() as u64;
+        assert_eq!(
+            under_reclaim,
+            count(name),
+            "every {name} span must sit under a reclaim span"
         );
     }
 }

@@ -190,3 +190,32 @@ fn fig2_blue_path_is_in_the_spans() {
         "UFFD_COPY installs the fetched page"
     );
 }
+
+/// `fluidmem trace --scenario pmbench` runs more accesses than the span
+/// ring holds; its summary line must say how many spans fell out.
+#[test]
+fn pmbench_trace_summary_reports_dropped_spans() {
+    let out = std::env::temp_dir().join(format!("fluidmem-trace-{}.json", std::process::id()));
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_fluidmem"))
+        .args(["trace", "--scenario", "pmbench", "--out"])
+        .arg(&out)
+        .output()
+        .expect("fluidmem binary runs");
+    let _ = std::fs::remove_file(&out);
+    assert!(output.status.success(), "{output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    let summary = stdout.lines().next().expect("a summary line");
+    assert!(
+        summary.starts_with("FluidMem RAMCloud: 20000 accesses traced, avg "),
+        "{summary}"
+    );
+    let dropped: u64 = summary
+        .strip_suffix(" older spans dropped")
+        .and_then(|head| head.rsplit(' ').next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no dropped-span count in {summary:?}"));
+    assert!(
+        dropped > 0,
+        "20000 traced accesses overflow the span ring: {summary}"
+    );
+}
